@@ -15,7 +15,7 @@ from ._io import atomic_write_text, fmt_complex, fmt_real
 from .grids import GridSpec
 from .matrices import tau_matrix
 from .spectra import Spectrum, eig_general_small, eig_hermitian, singular_values
-from .symbols import LaurentSymbol, MomentarySymbol
+from .symbols import LaurentSymbol, MomentarySymbol, _tridiagonal_coeffs
 
 _REAL_SAMPLE_TOL = 1e-9
 
@@ -176,15 +176,8 @@ def interlacing_check(f, n):
     Needs a symmetric tridiagonal symbol with positive off-diagonal
     coefficient (so the symbol decreases on [0, pi]) and n >= 4.
     """
-    if f.d != 1 or not f.is_scalar():
-        raise ValueError("interlacing check needs a scalar univariate symbol")
-    if any(abs(k[0]) > 1 for k in f.support()):
-        raise ValueError("interlacing check needs support within {-1, 0, 1}")
-    f1 = complex(f.coeff(1)[0, 0])
-    fm1 = complex(f.coeff(-1)[0, 0])
-    if abs(f1 - fm1) > 1e-13 * max(1.0, abs(f1)) or abs(f1.imag) > 1e-13:
-        raise ValueError("interlacing check needs equal real off-diagonal coefficients")
-    if f1.real <= 0:
+    _, f1 = _tridiagonal_coeffs(f, real_symmetric=True)
+    if f1 <= 0:
         raise ValueError("off-diagonal coefficient must be positive "
                          "(symbol must decrease on [0, pi])")
     n = int(n)

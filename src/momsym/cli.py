@@ -79,25 +79,19 @@ def cmd_grid(args):
 
 
 def _build_matrix(kind, sym, sizes, eps, phi, m_sizes=None):
-    if kind == "toeplitz":
-        if len(sizes) != 1:
-            raise ValueError("toeplitz takes a single size")
-        return toeplitz(sym, sizes[0])
     if kind == "multilevel":
         return multilevel_toeplitz(sym, sizes)
-    if kind == "circulant":
-        if len(sizes) != 1:
-            raise ValueError("circulant takes a single size")
-        return circulant(sym, sizes[0])
-    if kind == "tau":
-        if len(sizes) != 1:
-            raise ValueError("tau takes a single size")
-        return tau_matrix(sym, eps, phi, sizes[0])
     if kind == "toeplitz-rect":
         if m_sizes is None or len(sizes) != 1 or len(m_sizes) != 1:
             raise ValueError("toeplitz-rect needs --n and --m, one size each")
         return toeplitz_rect(sym, sizes[0], m_sizes[0])
-    raise ValueError(f"unknown build kind {kind!r}")
+    single = {"toeplitz": toeplitz, "circulant": circulant,
+              "tau": lambda f, n: tau_matrix(f, eps, phi, n)}
+    if kind not in single:
+        raise ValueError(f"unknown build kind {kind!r}")
+    if len(sizes) != 1:
+        raise ValueError(f"{kind} takes a single size")
+    return single[kind](sym, sizes[0])
 
 
 def cmd_build(args):
@@ -155,13 +149,7 @@ def cmd_spectrum(args):
 
 
 def _exact_spectrum_for_grid(mom, grid, n):
-    fixed = mom.fixed_size(n)
-    if grid.family == "tau":
-        a = tau_matrix(fixed, grid.eps, grid.phi, n)
-    elif grid.family == "circulant":
-        a = circulant(fixed, n)
-    else:
-        a = toeplitz(fixed, n)
+    a = grid.matrix(mom.fixed_size(n), n)
     try:
         return eig_hermitian(a)
     except ValueError:
@@ -194,17 +182,13 @@ def cmd_compare(args):
 
 
 def cmd_example(args):
-    params = {}
+    if args.id == "3" and args.N is None:
+        raise ValueError("example 3 needs --N")
+    params = {"n": _parse_sizes(args.n)[0]}
     if args.id == "1":
-        params = {"n": _parse_sizes(args.n)[0], "bc": args.bc}
-    elif args.id == "2":
-        params = {"n": _parse_sizes(args.n)[0]}
+        params["bc"] = args.bc
     elif args.id == "3":
-        if args.N is None:
-            raise ValueError("example 3 needs --N")
-        params = {"N": _parse_sizes(args.N)[0], "n": _parse_sizes(args.n)[0]}
-    else:
-        params = {"n": _parse_sizes(args.n)[0]}
+        params["N"] = _parse_sizes(args.N)[0]
     rep = run_example(args.id, **params)
     for path in rep.write_artifacts(args.out, fmt=args.format):
         print(path)
@@ -291,7 +275,7 @@ def main(argv=None):
     except ParseError as exc:
         print(f"error (parse): {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error (argument): {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
     except NumericError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from ._io import atomic_write_text
 from .analysis import compare, sample_spectrum_approx, verify_tau_decomposition
 from .grids import GridSpec
-from .matrices import (circulant, identity_rect, multilevel_toeplitz,
+from .matrices import (identity_rect, multilevel_toeplitz,
                        multilevel_toeplitz_rect, tau_matrix, toeplitz)
 from .spectra import Spectrum, eig_general_small, eig_hermitian, singular_values
 from .symbols import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
@@ -104,6 +104,14 @@ def h2xn_dirichlet_neumann(n):
     return tau_matrix(second_difference_symbol(), 0, 1, n) + h * h * np.eye(n)
 
 
+# each boundary condition's matrix lies in the algebra of its matched grid
+_BC_GRIDS = {
+    "dirichlet_neumann": GridSpec.tau(0, 1),
+    "dirichlet": GridSpec.tau(0, 0),
+    "periodic": GridSpec("circulant"),
+}
+
+
 def example1(n, bc="dirichlet_neumann"):
     """Second-difference matrix: size-aware symbol is exact on the matched grid.
 
@@ -124,19 +132,11 @@ def example1(n, bc="dirichlet_neumann"):
         (CoefficientScaling.inverse_power(2, "n+1"), _const_symbol()),
     ])
 
-    if bc == "dirichlet_neumann":
-        a = h2xn_dirichlet_neumann(n)
-        matched = GridSpec.tau(0, 1)
-    elif bc == "dirichlet":
-        a = tau_matrix(f1, 0, 0, n) + h * h * np.eye(n)
-        matched = GridSpec.tau(0, 0)
-    elif bc == "periodic":
-        a = circulant(f1, n) + h * h * np.eye(n)
-        matched = GridSpec("circulant")
-    else:
+    if bc not in _BC_GRIDS:
         raise ValueError(f"unknown boundary condition {bc!r}")
+    matched = _BC_GRIDS[bc]
 
-    exact = eig_hermitian(a)
+    exact = eig_hermitian(matched.matrix(f1, n) + h * h * np.eye(n))
     rep = ExampleReport("1", {"n": n, "bc": bc})
     rep.notes["h"] = h
 
@@ -246,6 +246,12 @@ def example2(n):
     return rep
 
 
+# example 3 dof couplings: S_A and D_A within a time step, S_B to the previous one
+S_A = np.array([[9.0, -9.0], [3.0, 5.0]])
+D_A = np.diag([3.0, 1.0])
+S_B = np.array([[0.0, -12.0], [0.0, 4.0]])
+
+
 def _example3_blocks(N, n):
     m = n - 1
     c = N / (12.0 * n * n)
@@ -253,23 +259,16 @@ def _example3_blocks(N, n):
     one_minus_cos = LaurentSymbol({0: 1.0, 1: -0.5, -1: -0.5})
     t2p = toeplitz(two_plus_cos, m)
     t1m = toeplitz(one_minus_cos, m)
-    s_a = np.array([[9.0, -9.0], [3.0, 5.0]])
-    d_a = np.diag([3.0, 1.0])
-    s_b = np.array([[0.0, -12.0], [0.0, 4.0]])
-    a_blk = c * np.kron(s_a, t2p) + np.kron(d_a, t1m)
-    b_blk = c * np.kron(s_b, t2p)
-    full = np.kron(np.eye(N), a_blk) + np.kron(np.eye(N, k=-1), b_blk)
-    return full, s_a, d_a, s_b
+    a_blk = c * np.kron(S_A, t2p) + np.kron(D_A, t1m)
+    b_blk = c * np.kron(S_B, t2p)
+    return np.kron(np.eye(N), a_blk) + np.kron(np.eye(N, k=-1), b_blk)
 
 
 def _example3_symbols():
-    s_a = np.array([[9.0, -9.0], [3.0, 5.0]])
-    d_a = np.diag([3.0, 1.0])
-    s_b = np.array([[0.0, -12.0], [0.0, 4.0]])
-    f1 = LaurentSymbol({(0, 0): d_a, (0, 1): -d_a / 2, (0, -1): -d_a / 2})
+    f1 = LaurentSymbol({(0, 0): D_A, (0, 1): -D_A / 2, (0, -1): -D_A / 2})
     f2 = LaurentSymbol({
-        (0, 0): s_a / 6, (0, 1): s_a / 24, (0, -1): s_a / 24,
-        (1, 0): s_b / 6, (1, 1): s_b / 24, (1, -1): s_b / 24,
+        (0, 0): S_A / 6, (0, 1): S_A / 24, (0, -1): S_A / 24,
+        (1, 0): S_B / 6, (1, 1): S_B / 24, (1, -1): S_B / 24,
     })
     return f1, f2
 
@@ -290,7 +289,7 @@ def example3(N, n):
     if N < 2 or n < 3:
         raise ValueError("need N >= 2 and n >= 3")
     m = n - 1
-    full, s_a, d_a, s_b = _example3_blocks(N, n)
+    full = _example3_blocks(N, n)
     rep = ExampleReport("3", {"N": N, "n": n})
     rep.notes["order"] = full.shape[0]
 
@@ -313,7 +312,7 @@ def example3(N, n):
     # symmetrized 2x2 coefficient with the same trace and determinant as the
     # raw dof coupling, so the sampled eigenvalues are unchanged
     m27 = np.array([[9.0, 1j * math.sqrt(27.0)], [1j * math.sqrt(27.0), 5.0]])
-    f1_u = LaurentSymbol({0: d_a, 1: -d_a / 2, -1: -d_a / 2})
+    f1_u = LaurentSymbol({0: D_A, 1: -D_A / 2, -1: -D_A / 2})
     pert_u = LaurentSymbol({0: m27 / 6, 1: m27 / 24, -1: m27 / 24})
     eig_mom = MomentarySymbol([
         (CoefficientScaling.one(), f1_u),

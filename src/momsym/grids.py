@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
+from .matrices import circulant, tau_matrix, toeplitz
 
 # (eps, phi) -> (a, b): grid theta_j = (j + a) pi / (n + b), denominator h = 1/(n+b)
 _TAU_PARAMS = {
@@ -81,10 +82,7 @@ def tau_eigvec_matrix(eps, phi, n):
 
 def uniform_open_grid(n):
     """n equispaced angles j pi/(n+1) strictly inside (0, pi)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("grid length must be positive")
-    return np.arange(1, n + 1, dtype=float) * math.pi / (n + 1)
+    return tau_eigen_grid(0, 0, n)
 
 
 def circulant_grid(n):
@@ -190,6 +188,18 @@ class GridSpec:
             raise ValueError(f"custom grid has {len(self._angles)} angles, asked for {n}")
         return self._angles.copy()
 
+    def matrix(self, f, n):
+        """The order-n matrix of f in this grid's algebra.
+
+        tau grids give tau_matrix(f, eps, phi, n), the circulant grid gives
+        circulant(f, n), and every other family the plain Toeplitz T_n(f).
+        """
+        if self.family == "tau":
+            return tau_matrix(f, self.eps, self.phi, n)
+        if self.family == "circulant":
+            return circulant(f, n)
+        return toeplitz(f, n)
+
     def __eq__(self, other):
         return (isinstance(other, GridSpec) and self.name() == other.name()
                 and (self._angles is None) == (other._angles is None)
@@ -215,23 +225,23 @@ _CHAIN = [
 ]
 
 
+def _chain_links(n):
+    """Yield (label, left grid, right grid, plain-relation mask, restriction) per link."""
+    for label, left, rel, right, restriction in _CHAIN:
+        gl = tau_eigen_grid(*left, n)
+        gr = tau_eigen_grid(*right, n)
+        yield label, gl, gr, (gl == gr if rel == "=" else gl < gr), restriction
+
+
 def grid_ordering_detail(n):
     """Per-link report for the cross-grid ordering chain at length n.
 
     Returns a dict mapping link labels to dicts with keys "holds_for_all_j"
     (bool) and "failing_j" (1-based indices where the plain relation fails).
     """
-    n = int(n)
-    out = {}
-    for label, left, rel, right, _ in _CHAIN:
-        gl = tau_eigen_grid(*left, n)
-        gr = tau_eigen_grid(*right, n)
-        ok = gl == gr if rel == "=" else gl < gr
-        out[label] = {
-            "holds_for_all_j": bool(np.all(ok)),
-            "failing_j": [int(j + 1) for j in np.flatnonzero(~ok)],
-        }
-    return out
+    return {label: {"holds_for_all_j": bool(np.all(ok)),
+                    "failing_j": [int(j + 1) for j in np.flatnonzero(~ok)]}
+            for label, _, _, ok, _ in _chain_links(int(n))}
 
 
 def grid_ordering_check(n):
@@ -246,23 +256,15 @@ def grid_ordering_check(n):
     complete set of orderings that actually hold.
     """
     n = int(n)
-    if n < 1:
-        raise ValueError("grid length must be positive")
     j = np.arange(1, n + 1)
-    for label, left, rel, right, restriction in _CHAIN:
-        gl = tau_eigen_grid(*left, n)
-        gr = tau_eigen_grid(*right, n)
-        if rel == "=":
-            if not np.array_equal(gl, gr):
+    lo = 2 * j < n + 1
+    hi = 2 * j > n + 1
+    tie = ~lo & ~hi
+    for _, gl, gr, ok, restriction in _chain_links(n):
+        if restriction is None:
+            if not np.all(ok):
                 return False
-        elif restriction is None:
-            if not np.all(gl < gr):
-                return False
-        else:
-            lo = 2 * j < n + 1
-            hi = 2 * j > n + 1
-            tie = ~lo & ~hi
-            if not (np.all(gl[lo] < gr[lo]) and np.all(gl[hi] > gr[hi])
-                    and np.all(np.abs(gl[tie] - gr[tie]) <= 8 * np.finfo(float).eps)):
-                return False
+        elif not (np.all(ok[lo]) and np.all(gl[hi] > gr[hi])
+                  and np.all(np.abs(gl[tie] - gr[tie]) <= 8 * np.finfo(float).eps)):
+            return False
     return True

@@ -4,15 +4,19 @@ Square and rectangular Toeplitz matrices, multilevel block Toeplitz
 matrices, circulants, shift matrices, and tridiagonal-plus-corners tau
 matrices.  All builders return plain complex numpy arrays; multi-index
 linearization is lexicographic with the first variable slowest and the
-block index fastest.
+block index fastest.  Every Toeplitz-family matrix (square, multilevel,
+rectangular, and the tau matrices on top of them) comes from the one
+coefficient loop in multilevel_toeplitz_rect.
 """
 
 import json
+from functools import reduce
 
 import numpy as np
 
 from ._io import atomic_write_text, fmt_complex, fmt_real
 from .errors import ParseError
+from .symbols import _tridiagonal_coeffs
 
 
 def _check_univariate(f):
@@ -28,11 +32,7 @@ def toeplitz(f, n):
     n = int(n)
     if n <= 0:
         raise ValueError("matrix order must be positive")
-    a = np.zeros((n * f.s, n * f.s), dtype=complex)
-    for (k,), m in f.coeffs.items():
-        if abs(k) < n:
-            a += np.kron(np.eye(n, k=-k), m)
-    return a
+    return multilevel_toeplitz_rect(f, (n,), (n,))
 
 
 def multilevel_toeplitz(f, n_vec):
@@ -44,14 +44,7 @@ def multilevel_toeplitz(f, n_vec):
         raise ValueError("square build needs a square-coefficient symbol")
     if any(v <= 0 for v in n_vec):
         raise ValueError("sizes must be positive")
-    order = f.s * int(np.prod(n_vec))
-    a = np.zeros((order, order), dtype=complex)
-    for k, m in f.coeffs.items():
-        factor = np.ones((1, 1))
-        for ki, ni in zip(k, n_vec):
-            factor = np.kron(factor, np.eye(ni, k=-ki))
-        a += np.kron(factor, m)
-    return a
+    return multilevel_toeplitz_rect(f, n_vec, n_vec)
 
 
 def shift_matrix(n):
@@ -82,29 +75,12 @@ def circulant(f, n):
     return a
 
 
-def _tridiagonal_real_pair(f):
-    # symmetric tridiagonal symbol: real f0 and f1 with f1 == f-1
-    if f.d != 1 or not f.is_scalar():
-        raise ValueError("tau matrix needs a scalar univariate symbol")
-    if any(abs(k[0]) > 1 for k in f.support()):
-        raise ValueError("tau matrix needs support within {-1, 0, 1}")
-    f0 = complex(f.coeff(0)[0, 0])
-    f1 = complex(f.coeff(1)[0, 0])
-    fm1 = complex(f.coeff(-1)[0, 0])
-    scale = max(1.0, abs(f0), abs(f1))
-    if abs(f1 - fm1) > 1e-13 * scale:
-        raise ValueError("tau matrix needs equal off-diagonal coefficients")
-    if max(abs(f0.imag), abs(f1.imag)) > 1e-13 * scale:
-        raise ValueError("tau matrix needs real coefficients")
-    return f0.real, f1.real
-
-
 def tau_matrix(f, eps, phi, n):
     """T_n(f) with corner corrections eps*f1 at (1,1) and phi*f1 at (n,n)."""
     eps, phi = float(eps), float(phi)
     if abs(eps) > 1 or abs(phi) > 1:
         raise ValueError("corner weights must lie in [-1, 1]")
-    f0, f1 = _tridiagonal_real_pair(f)
+    _, f1 = _tridiagonal_coeffs(f, real_symmetric=True)
     n = int(n)
     if n <= 0:
         raise ValueError("matrix order must be positive")
@@ -125,19 +101,14 @@ def identity_rect(n, m):
 def toeplitz_rect(f, n, m):
     """Rectangular scalar Toeplitz with entry (i, j) = coefficient at i - j.
 
-    Built per definition as T_n(f) I_{n x m} for n > m and I_{n x m} T_m(f)
-    for n < m.
+    Equal to T_n(f) I_{n x m} for n > m and I_{n x m} T_m(f) for n < m: the
+    leading n x m block of T_max(n,m)(f).
     """
     _check_univariate(f)
     if not f.is_scalar():
         raise ValueError("rectangular scalar build needs a scalar symbol; "
                          "use multilevel_toeplitz_rect for matrix-valued symbols")
-    n, m = int(n), int(m)
-    if n == m:
-        return toeplitz(f, n)
-    if n > m:
-        return toeplitz(f, n) @ identity_rect(n, m)
-    return identity_rect(n, m) @ toeplitz(f, m)
+    return multilevel_toeplitz_rect(f, (int(n),), (int(m),))
 
 
 def multilevel_toeplitz_rect(f, n_vec, m_vec):
@@ -152,10 +123,8 @@ def multilevel_toeplitz_rect(f, n_vec, m_vec):
     cols = f.r * int(np.prod(m_vec))
     a = np.zeros((rows, cols), dtype=complex)
     for k, coeff in f.coeffs.items():
-        factor = np.ones((1, 1))
-        for ki, ni, mi in zip(k, n_vec, m_vec):
-            factor = np.kron(factor, np.eye(ni, mi, k=-ki))
-        a += np.kron(factor, coeff)
+        a += np.kron(reduce(np.kron, [np.eye(ni, mi, k=-ki)
+                                      for ki, ni, mi in zip(k, n_vec, m_vec)]), coeff)
     return a
 
 

@@ -11,6 +11,7 @@ univariate symbol into an equivalent block-valued one.
 
 import json
 import os
+from functools import reduce
 
 import numpy as np
 
@@ -204,6 +205,8 @@ class LaurentSymbol:
                 coeffs[key] = m
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad symbol JSON: {exc}") from exc
+        if not all(np.all(np.isfinite(m)) for m in coeffs.values()):
+            raise ParseError("bad symbol JSON: non-finite coefficient")
         return cls(coeffs, d=d, s=s, r=r)
 
 
@@ -299,7 +302,7 @@ class CoefficientScaling:
     Supported forms: the constant 1, inverse powers (1/n)^p or (1/(n+1))^p
     with integer p (negative p gives a diverging weight), the two-index ratio
     N/n^2, and explicit tables keyed by size.  Products of unlike forms are
-    kept as lazily evaluated tables.
+    kept as lazily evaluated tables, which serialise as their factors.
     """
 
     FORMS = ("one", "inverse_power", "ratio_N_over_n2", "table")
@@ -403,8 +406,10 @@ class CoefficientScaling:
     def to_json(self):
         if self.form == "inverse_power":
             return {"form": "inverse_power", "p": self.p, "base": self.base}
+        if self._factors is not None:
+            return {"form": "product", "factors": [g.to_json() for g in self._factors]}
         if self.form == "table":
-            return {"form": "table",
+            return {"form": "table", "class_tag": self.class_tag,
                     "values": {",".join(map(str, k)): v for k, v in sorted(self.values.items())}}
         return {"form": self.form}
 
@@ -422,6 +427,8 @@ class CoefficientScaling:
                 values = {tuple(int(v) for v in k.split(",")): float(x)
                           for k, x in obj["values"].items()}
                 return cls.table(values, class_tag=obj.get("class_tag", "decaying"))
+            if form == "product":
+                return reduce(cls.multiply, [cls.from_json(g) for g in obj["factors"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad scaling JSON: {exc}") from exc
         raise ParseError(f"unknown scaling form {form!r}")
@@ -548,6 +555,27 @@ def momentary_mul(a, b):
     return a * b
 
 
+def _tridiagonal_coeffs(f, real_symmetric=False):
+    """(f0, f1, f-1) of a scalar univariate symbol supported on {-1, 0, 1}.
+
+    With real_symmetric, also require f1 == f-1 and real f0, f1 to within
+    1e-13 * max(1, |f0|, |f1|), and return the real pair (f0, f1).
+    """
+    if f.d != 1 or not f.is_scalar():
+        raise ValueError("tridiagonal symbol must be scalar and univariate")
+    if any(abs(k[0]) > 1 for k in f.support()):
+        raise ValueError("tridiagonal symbol needs support within {-1, 0, 1}")
+    f0, f1, fm1 = (complex(f.coeff(k)[0, 0]) for k in (0, 1, -1))
+    if not real_symmetric:
+        return f0, f1, fm1
+    scale = max(1.0, abs(f0), abs(f1))
+    if abs(f1 - fm1) > 1e-13 * scale:
+        raise ValueError("tridiagonal symbol needs equal off-diagonal coefficients")
+    if max(abs(f0.imag), abs(f1.imag)) > 1e-13 * scale:
+        raise ValueError("tridiagonal symbol needs real coefficients")
+    return f0.real, f1.real
+
+
 def symmetrize_tridiagonal(f):
     """Replace off-diagonal coefficients by the geometric mean sqrt(f1)sqrt(f-1).
 
@@ -558,18 +586,13 @@ def symmetrize_tridiagonal(f):
     """
     if isinstance(f, MomentarySymbol):
         return MomentarySymbol([(g, symmetrize_tridiagonal(t)) for g, t in f.terms])
-    if f.d != 1 or not f.is_scalar():
-        raise ValueError("symmetrization needs a scalar univariate symbol")
-    if any(abs(k[0]) > 1 for k in f.support()):
-        raise ValueError("symmetrization needs support within {-1, 0, 1}")
-    f1 = complex(f.coeff(1)[0, 0])
-    fm1 = complex(f.coeff(-1)[0, 0])
+    f0, f1, fm1 = _tridiagonal_coeffs(f)
     prod = f1 * fm1
     if f1 != 0 and fm1 != 0:
         if abs(prod.imag) > 1e-14 * abs(prod) or prod.real < 0:
             raise ValueError("off-diagonal product must be real nonnegative")
-    off = np.sqrt(complex(f1)) * np.sqrt(complex(fm1))
-    return LaurentSymbol({0: f.coeff(0), 1: off, -1: off}, d=1, s=1, r=1)
+    off = np.sqrt(f1) * np.sqrt(fm1)
+    return LaurentSymbol({0: f0, 1: off, -1: off}, d=1, s=1, r=1)
 
 
 def block_reinterpret(f, s_block):

@@ -189,10 +189,6 @@ class TestInterlacing:
         with pytest.raises(ValueError):
             interlacing_check(LaurentSymbol({1: 1.0, -1: 1.0}), 3)
 
-    def test_rejects_wide_support(self):
-        with pytest.raises(ValueError):
-            interlacing_check(LaurentSymbol({2: 1.0, -2: 1.0}), 8)
-
 
 class TestZeroDistribution:
     def test_corner_sequence_has_vanishing_rank_ratio(self):

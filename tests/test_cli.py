@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import momsym
 import momsym.cli as cli
 from momsym import (LaurentSymbol, NumericError, circulant, read_matrix_csv,
                     read_matrix_json, tau_eigen_grid, tau_matrix, toeplitz,
@@ -135,6 +137,15 @@ class TestSpectrumCommand:
     def test_missing_input_is_argument_error(self, tmp_path, capsys):
         rc = cli.main(["spectrum", "--kind", "hermitian", "--out", str(tmp_path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_symbol_is_parse_error(self, tmp_path, capsys, token):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(second_diff().to_json()).replace("2.0", token))
+        rc = cli.main(["spectrum", "--symbol", str(bad), "--build-kind", "tau",
+                       "--n", "5", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_numeric_failure_maps_to_exit_4(self, tmp_path, f1_path, monkeypatch, capsys):
         def boom(a):
@@ -275,8 +286,12 @@ def test_console_script_smoke(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same momsym as this process, installed or not
+    src = os.path.dirname(os.path.dirname(momsym.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "momsym.cli", "grid",
                            "--grid", "uniform-open", "--n", "3",
-                           "--out", str(tmp_path)], capture_output=True, text=True)
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "grid_uniform-open_n3.csv").exists()

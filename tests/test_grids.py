@@ -6,7 +6,8 @@ import pytest
 from momsym import (GridSpec, LaurentSymbol, ParseError, circulant,
                     circulant_grid, circulant_real_transform, fourier_matrix,
                     grid_ordering_check, grid_ordering_detail, tau_eigen_grid,
-                    tau_eigvec_matrix, tau_matrix, uniform_open_grid)
+                    tau_eigvec_matrix, tau_matrix, toeplitz,
+                    uniform_open_grid)
 
 ALL_PAIRS = [(e, p) for e in (-1, 0, 1) for p in (-1, 0, 1)]
 
@@ -155,6 +156,17 @@ class TestGridSpec:
         assert np.array_equal(GridSpec.tau(0, 0).angles(4), tau_eigen_grid(0, 0, 4))
         assert np.array_equal(GridSpec.parse("circulant").angles(4), circulant_grid(4))
         assert np.array_equal(GridSpec.parse("uniform-open").angles(4), uniform_open_grid(4))
+
+    @pytest.mark.parametrize("spec, build", [pytest.param(s, b, id=s.name()) for s, b in [
+        *[(GridSpec.tau(e, p), lambda f, n, e=e, p=p: tau_matrix(f, e, p, n))
+          for e, p in ALL_PAIRS],
+        (GridSpec("circulant"), circulant),
+        (GridSpec("uniform-open"), toeplitz),
+        (GridSpec("custom", angles_list=[0.1] * 6), toeplitz),
+    ]])
+    def test_matrix_dispatch(self, spec, build):
+        f = LaurentSymbol({0: 2.5, 1: -1.0, -1: -1.0})
+        assert np.array_equal(spec.matrix(f, 6), build(f, 6))
 
     def test_custom_angles(self):
         spec = GridSpec("custom", angles_list=[0.1, 0.2])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from momsym import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                     NumericError, ParseError, block_reinterpret,
                     eig_general_small, eig_hermitian, evaluate_symbol,
-                    fourier_coefficients, momentary_evaluate, momentary_mul,
-                    parse_scaling, symbol_add, symbol_hermitian, symbol_mul,
-                    symmetrize_tridiagonal, toeplitz)
+                    fourier_coefficients, interlacing_check,
+                    momentary_evaluate, momentary_mul, parse_scaling,
+                    symbol_add, symbol_hermitian, symbol_mul,
+                    symmetrize_tridiagonal, tau_matrix, toeplitz)
 
 
 def second_diff():
@@ -269,6 +271,35 @@ class TestScalingAlgebra:
         t = parse_scaling('{"form":"table","values":{"8":0.125}}')
         assert t(8) == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("g, sizes", [
+        (CoefficientScaling.one(), [4, 9]),
+        (CoefficientScaling.inverse_power(2, "n"), [4, 9]),
+        (CoefficientScaling.inverse_power(-1, "n+1"), [4, 9]),
+        (CoefficientScaling.ratio_N_over_n2(), [(3, 4), (8, 5)]),
+        (CoefficientScaling.table({4: 0.5, 9: 0.25}), [4, 9]),
+        (CoefficientScaling.table({4: 2.0, 9: 3.0}, class_tag="constant"), [4, 9]),
+        (CoefficientScaling.table({4: 5.0}, class_tag="diverging"), [4]),
+        (CoefficientScaling.inverse_power(1, "n").multiply(
+            CoefficientScaling.inverse_power(-1, "n+1")), [4, 9]),
+        (CoefficientScaling.table({4: 2.0, 9: 3.0}, class_tag="constant").multiply(
+            CoefficientScaling.inverse_power(1, "n")).multiply(
+            CoefficientScaling.inverse_power(2, "n+1")), [4, 9]),
+        ((MomentarySymbol([(CoefficientScaling.ratio_N_over_n2(), second_diff())])
+          * MomentarySymbol([(CoefficientScaling.table({(3, 4): 2.0}), second_diff())])
+          ).terms[0][0], [(3, 4)]),
+    ], ids=["one", "inverse_power", "inverse_power_n+1", "ratio", "table",
+            "constant_table", "diverging_table", "product", "nested_product",
+            "momentary_product"])
+    def test_json_roundtrip_every_form(self, g, sizes):
+        text = json.dumps(g.to_json())
+        back = CoefficientScaling.from_json(json.loads(text))
+        assert back == g
+        assert back.class_tag == g.class_tag
+        for size in sizes:
+            assert back(size) == g(size)
+        # serialisation does not depend on which sizes were evaluated
+        assert json.dumps(g.to_json()) == text
+
     def test_parse_scaling_bad_json(self):
         with pytest.raises(ParseError):
             parse_scaling('{"form":"wobble"}')
@@ -299,9 +330,34 @@ class TestSymmetrize:
         with pytest.raises(ValueError):
             symmetrize_tridiagonal(LaurentSymbol({1: 1.0, -1: -1.0}))
 
-    def test_wide_support_rejected(self):
-        with pytest.raises(ValueError):
-            symmetrize_tridiagonal(LaurentSymbol({0: 1.0, 2: 1.0}))
+
+TRIDIAGONAL_CALLERS = {
+    "tau_matrix": lambda f: tau_matrix(f, 0, 0, 8),
+    "interlacing_check": lambda f: interlacing_check(f, 8),
+    "symmetrize_tridiagonal": symmetrize_tridiagonal,
+}
+# rejected by every caller
+NOT_TRIDIAGONAL = {
+    "wide_support": LaurentSymbol({0: 1.0, 2: 1.0, -2: 1.0}),
+    "matrix_valued": LaurentSymbol({0: 2 * np.eye(2), 1: np.eye(2), -1: np.eye(2)}),
+    "bivariate": LaurentSymbol({(0, 0): 2.0, (1, 0): 1.0, (-1, 0): 1.0}),
+}
+# rejected by the callers that need a real symmetric symbol
+NOT_REAL_SYMMETRIC = {
+    "asymmetric": LaurentSymbol({0: 2.0, 1: 1.0, -1: 0.5}),
+    "hermitian_complex": LaurentSymbol({0: 2.0, 1: 1j, -1: -1j}),
+    "complex_symmetric": LaurentSymbol({0: 2.0, 1: 1 + 1j, -1: 1 + 1j}),
+}
+
+
+@pytest.mark.parametrize("caller, case", [
+    *[(c, b) for c in TRIDIAGONAL_CALLERS for b in NOT_TRIDIAGONAL],
+    *[(c, b) for c in ("tau_matrix", "interlacing_check") for b in NOT_REAL_SYMMETRIC],
+])
+def test_tridiagonal_callers_reject(caller, case):
+    bad = {**NOT_TRIDIAGONAL, **NOT_REAL_SYMMETRIC}[case]
+    with pytest.raises(ValueError):
+        TRIDIAGONAL_CALLERS[caller](bad)
 
 
 class TestBlockReinterpret:
