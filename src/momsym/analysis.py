@@ -14,10 +14,9 @@ import numpy as np
 from ._io import atomic_write_text, fmt_complex, fmt_real
 from .grids import GridSpec
 from .matrices import tau_matrix
-from .spectra import Spectrum, eig_general_small, eig_hermitian, singular_values
-from .symbols import LaurentSymbol, MomentarySymbol, _tridiagonal_coeffs
-
-_REAL_SAMPLE_TOL = 1e-9
+from .spectra import (Spectrum, _eig_general_values, _json_values, _real_part,
+                      _spectral_order, eig_hermitian, singular_values)
+from .symbols import LaurentSymbol, MomentarySymbol, _tensor_grid, _tridiagonal_coeffs
 
 
 @dataclass
@@ -46,31 +45,20 @@ class SpectrumReport:
         atomic_write_text(path, self.to_csv_text())
 
     def to_json_text(self):
-        def enc(arr):
-            if np.iscomplexobj(arr):
-                return [[float(v.real), float(v.imag)] for v in arr]
-            return [float(v) for v in arr]
-
         obj = {
             "grid": self.grid.name() if self.grid is not None else None,
             "symbol_kind": self.symbol_kind,
             "size": [int(v) for v in self.size],
             "spectrum_kind": self.exact.kind,
             "max_error": float(self.max_error),
-            "exact": enc(self.exact.values),
-            "approx": enc(np.asarray(self.approx)),
-            "per_index_error": [float(v) for v in self.per_index_error],
+            "exact": _json_values(self.exact.values),
+            "approx": _json_values(np.asarray(self.approx)),
+            "per_index_error": _json_values(self.per_index_error),
         }
         return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
     def write_json(self, path):
         atomic_write_text(path, self.to_json_text())
-
-
-def _tensor_points(grids, sizes):
-    axes = [g.angles(n) for g, n in zip(grids, sizes)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def sample_spectrum_approx(sym, grid, size):
@@ -80,8 +68,8 @@ def sample_spectrum_approx(sym, grid, size):
     `size` the matching per-variable grid lengths (scalars allowed for
     univariate symbols).  Size-aware symbols are evaluated with the full
     size multi-index.  Matrix-valued samples contribute all their
-    eigenvalues.  Output is real ascending when every sample is real to
-    rounding, otherwise complex sorted by (real, imag).
+    eigenvalues.  Output is real when every sample is real to rounding,
+    otherwise complex; either way in the order of spectra._spectral_order.
     """
     if isinstance(sym, LaurentSymbol):
         sym = MomentarySymbol.constant(sym)
@@ -94,20 +82,18 @@ def sample_spectrum_approx(sym, grid, size):
     if len(sizes) != sym.d:
         raise ValueError(f"need {sym.d} sizes, got {len(sizes)}")
 
-    pts = _tensor_points(grids, sizes)
+    pts = _tensor_grid([g.angles(n) for g, n in zip(grids, sizes)])
     samples = sym.sample(pts, sizes if len(sizes) > 1 else sizes[0])
     if sym.s == sym.r == 1:
         vals = samples[:, 0, 0]
     else:
         if sym.s != sym.r:
             raise ValueError("spectral sampling needs square-valued symbols")
-        vals = np.concatenate([
-            eig_general_small(samples[i]).values for i in range(samples.shape[0])
-        ]) if samples.size else np.zeros(0, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if np.max(np.abs(vals.imag), initial=0.0) <= _REAL_SAMPLE_TOL * scale:
-        return np.sort(vals.real)
-    return vals[np.lexsort((vals.imag, vals.real))]
+        vals = np.concatenate([_eig_general_values(s) for s in samples]) \
+            if samples.size else np.zeros(0, dtype=complex)
+    real = _real_part(vals)
+    vals = vals if real is None else real
+    return vals[_spectral_order(vals)]
 
 
 def compare(exact, approx, grid=None, symbol_kind="glt", size=()):
@@ -115,12 +101,7 @@ def compare(exact, approx, grid=None, symbol_kind="glt", size=()):
     approx = np.asarray(approx)
     if len(exact) != approx.shape[0]:
         raise ValueError(f"length mismatch: {len(exact)} exact vs {approx.shape[0]} samples")
-    if exact.kind == "general_eig":
-        order = np.lexsort((approx.imag, approx.real)) if np.iscomplexobj(approx) \
-            else np.argsort(approx)
-        approx = approx[order]
-    else:
-        approx = np.sort(approx)
+    approx = approx[_spectral_order(approx)]
     err = np.abs(exact.values - approx)
     return SpectrumReport(
         exact=exact,
@@ -131,6 +112,13 @@ def compare(exact, approx, grid=None, symbol_kind="glt", size=()):
         symbol_kind=symbol_kind,
         size=tuple(int(v) for v in np.atleast_1d(size)) if size != () else (),
     )
+
+
+def _reports(exact, grid, n, **symbols):
+    """Compare exact with each keyword symbol sampled on grid at size n; keywords are kinds."""
+    return tuple(compare(exact, sample_spectrum_approx(sym, grid, n), grid=grid,
+                         symbol_kind=kind, size=(n,))
+                 for kind, sym in symbols.items())
 
 
 def verify_tau_decomposition(a, f, eps, phi):

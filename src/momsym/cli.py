@@ -6,20 +6,18 @@ from symbol JSON files, `spectrum` computes eigen- or singular values,
 `example` runs the four built-in scenarios.
 
 Exit codes: 0 success, 2 malformed input files, 3 shape or argument
-errors, 4 numeric failures, 5 a scenario claim flag failed.  All outputs
-are written atomically with deterministic formatting, so reruns with the
-same configuration are byte-identical.
+errors or a build too large for memory, 4 numeric failures, 5 a scenario
+claim flag failed.  All outputs are written atomically with deterministic
+formatting, so reruns with the same configuration are byte-identical.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 
 from ._io import atomic_write_text, fmt_real
-from .analysis import compare as compare_spectra
-from .analysis import sample_spectrum_approx
+from .analysis import _reports
 from .errors import NumericError, ParseError
 from .examples import run_example
 from .grids import GridSpec
@@ -136,15 +134,7 @@ def cmd_spectrum(args):
     else:
         spec = eig_general_small(a)
     path = os.path.join(args.out, f"spectrum_{args.kind}.{args.format}")
-    if args.format == "csv":
-        text = spec.to_csv_text()
-    else:
-        if spec.kind == "general_eig":
-            vals = [[float(v.real), float(v.imag)] for v in spec.values]
-        else:
-            vals = [float(v) for v in spec.values]
-        text = json.dumps({"kind": spec.kind, "values": vals}, sort_keys=True) + "\n"
-    _write(path, text)
+    _write(path, spec.to_csv_text() if args.format == "csv" else spec.to_json_text())
     return EXIT_OK
 
 
@@ -168,14 +158,12 @@ def cmd_compare(args):
     exact_grid = GridSpec.parse(args.exact_grid) if args.exact_grid else grid
     exact = _exact_spectrum_for_grid(mom, exact_grid, n)
     written = []
-    for kind, sym in (("momentary", mom), ("glt", mom.glt_symbol())):
-        samples = sample_spectrum_approx(sym, grid, n)
-        report = compare_spectra(exact, samples, grid=grid, symbol_kind=kind, size=(n,))
-        base = os.path.join(args.out, f"compare_{kind}")
+    for report in _reports(exact, grid, n, momentary=mom, glt=mom.glt_symbol()):
+        base = os.path.join(args.out, f"compare_{report.symbol_kind}")
         report.write_csv(base + ".csv")
         report.write_json(base + ".json")
         written += [base + ".csv", base + ".json"]
-        print(f"{kind}: max_error={report.max_error:.6e}")
+        print(f"{report.symbol_kind}: max_error={report.max_error:.6e}")
     for path in written:
         print(path)
     return EXIT_OK
@@ -275,7 +263,7 @@ def main(argv=None):
     except ParseError as exc:
         print(f"error (parse): {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error (argument): {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
     except NumericError as exc:

@@ -25,7 +25,7 @@ import re
 import numpy as np
 
 from ._io import atomic_write_text
-from .analysis import compare, sample_spectrum_approx, verify_tau_decomposition
+from .analysis import _reports, compare, sample_spectrum_approx, verify_tau_decomposition
 from .grids import GridSpec
 from .matrices import (identity_rect, multilevel_toeplitz,
                        multilevel_toeplitz_rect, tau_matrix, toeplitz)
@@ -140,12 +140,8 @@ def example1(n, bc="dirichlet_neumann"):
     rep = ExampleReport("1", {"n": n, "bc": bc})
     rep.notes["h"] = h
 
-    mom = sample_spectrum_approx(f_mom, matched, n)
-    glt = sample_spectrum_approx(f_mom.glt_symbol(), matched, n)
-    rep.reports["momentary_matched"] = compare(
-        exact, mom, grid=matched, symbol_kind="momentary", size=(n,))
-    rep.reports["glt_matched"] = compare(
-        exact, glt, grid=matched, symbol_kind="glt", size=(n,))
+    rep.reports["momentary_matched"], rep.reports["glt_matched"] = _reports(
+        exact, matched, n, momentary=f_mom, glt=f_mom.glt_symbol())
     rep.flags["momentary_exact_on_matched_grid"] = \
         rep.reports["momentary_matched"].max_error <= 1e-12
     rep.flags["glt_error_equals_h_squared_on_matched_grid"] = bool(
@@ -153,9 +149,7 @@ def example1(n, bc="dirichlet_neumann"):
 
     mismatch = GridSpec.tau(0, 0)
     if mismatch.name() != matched.name():
-        wrong = sample_spectrum_approx(f_mom.glt_symbol(), mismatch, n)
-        rep.reports["glt_mismatched"] = compare(
-            exact, wrong, grid=mismatch, symbol_kind="glt", size=(n,))
+        rep.reports["glt_mismatched"] = _reports(exact, mismatch, n, glt=f_mom.glt_symbol())[0]
         rep.flags["glt_mismatched_grid_error_exceeds_h_squared"] = \
             rep.reports["glt_mismatched"].max_error > h * h
         rep.notes["glt_mismatched_max_error_over_h"] = \
@@ -194,12 +188,8 @@ def example2(n):
 
     eig_mom = symmetrize_tridiagonal(x_mom)
     grid = GridSpec.tau(0, 0)
-    mom = sample_spectrum_approx(eig_mom, grid, n)
-    glt = sample_spectrum_approx(eig_mom.glt_symbol(), grid, n)
-    rep.reports["eig_momentary"] = compare(exact, mom, grid=grid,
-                                           symbol_kind="momentary", size=(n,))
-    rep.reports["eig_glt"] = compare(exact, glt, grid=grid,
-                                     symbol_kind="glt", size=(n,))
+    rep.reports["eig_momentary"], rep.reports["eig_glt"] = _reports(
+        exact, grid, n, momentary=eig_mom, glt=eig_mom.glt_symbol())
     rep.flags["momentary_eigenvalue_symbol_exact"] = \
         rep.reports["eig_momentary"].max_error <= 1e-14
     rep.flags["glt_eigenvalue_error_equals_h"] = bool(
@@ -236,13 +226,8 @@ def example2(n):
     rep.flags["gram_eigenvalues_bracketed_by_neighbor_grids"] = bool(
         np.all(lam_desc >= lower - tol) and np.all(lam_desc <= upper + tol))
 
-    gram_grid = GridSpec.tau(0, 0)
-    rep.reports["gram_momentary"] = compare(
-        gram_eigs, sample_spectrum_approx(g_fixed, gram_grid, n),
-        grid=gram_grid, symbol_kind="momentary", size=(n,))
-    rep.reports["gram_glt"] = compare(
-        gram_eigs, sample_spectrum_approx(g_mom.glt_symbol(), gram_grid, n),
-        grid=gram_grid, symbol_kind="glt", size=(n,))
+    rep.reports["gram_momentary"], rep.reports["gram_glt"] = _reports(
+        gram_eigs, grid, n, momentary=g_fixed, glt=g_mom.glt_symbol())
     return rep
 
 
@@ -409,13 +394,8 @@ def example4(n):
     rep.flags["coarse_eigenvalues_bracketed_by_neighbor_grids"] = bool(
         np.all(y_eigs.values >= lower - tol) and np.all(y_eigs.values <= upper + tol))
 
-    grid = GridSpec.tau(0, 0)
-    rep.reports["coarse_momentary"] = compare(
-        y_eigs, sample_spectrum_approx(y_fixed, grid, m),
-        grid=grid, symbol_kind="momentary", size=(m,))
-    rep.reports["coarse_glt"] = compare(
-        y_eigs, sample_spectrum_approx(y_mom.glt_symbol(), grid, m),
-        grid=grid, symbol_kind="glt", size=(m,))
+    rep.reports["coarse_momentary"], rep.reports["coarse_glt"] = _reports(
+        y_eigs, GridSpec.tau(0, 0), m, momentary=y_fixed, glt=y_mom.glt_symbol())
     return rep
 
 

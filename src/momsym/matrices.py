@@ -10,6 +10,7 @@ coefficient loop in multilevel_toeplitz_rect.
 """
 
 import json
+import os
 from functools import reduce
 
 import numpy as np
@@ -17,6 +18,17 @@ import numpy as np
 from ._io import atomic_write_text, fmt_complex, fmt_real
 from .errors import ParseError
 from .symbols import _tridiagonal_coeffs
+
+
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _zeros(rows, cols):
+    # a build peaks at about three complex arrays of its result's size
+    if 48 * rows * cols > _physical_memory():
+        raise ValueError(f"a dense {rows} x {cols} build would exceed physical memory")
+    return np.zeros((rows, cols), dtype=complex)
 
 
 def _check_univariate(f):
@@ -68,7 +80,7 @@ def circulant(f, n):
         raise ValueError("matrix order must be positive")
     if any(abs(k[0]) > n - 1 for k in f.support()):
         raise ValueError(f"symbol support must lie within -(n-1)..(n-1) for n={n}")
-    a = np.zeros((n, n), dtype=complex)
+    a = _zeros(n, n)
     i = np.arange(n)
     for (k,), m in f.coeffs.items():
         a[i, (i - k) % n] += complex(m[0, 0])
@@ -121,7 +133,7 @@ def multilevel_toeplitz_rect(f, n_vec, m_vec):
         raise ValueError("sizes must be positive")
     rows = f.s * int(np.prod(n_vec))
     cols = f.r * int(np.prod(m_vec))
-    a = np.zeros((rows, cols), dtype=complex)
+    a = _zeros(rows, cols)
     for k, coeff in f.coeffs.items():
         a += np.kron(reduce(np.kron, [np.eye(ni, mi, k=-ki)
                                       for ki, ni, mi in zip(k, n_vec, m_vec)]), coeff)

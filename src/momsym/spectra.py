@@ -4,8 +4,13 @@ Wraps dense solves in a small Spectrum type, provides truncated Fourier
 sums, and measures how closely an empirical spectrum follows the density
 of a symbol: the mean of a test function over the computed values against
 its normalized integral over the symbol's domain.
+
+It owns the rules all comparisons share: one order for exact spectra and
+symbol samples before index-by-index pairing, one test for values real to
+rounding (|imag| <= 1e-9 * max(1, max|v|)), and one JSON encoding of values.
 """
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -14,17 +19,49 @@ import numpy as np
 
 from ._io import atomic_write_text, fmt_real
 from .errors import NumericError
-from .symbols import _quad_points_env
+from .symbols import _quad_points_env, _tensor_grid
 
 _HERM_TOL = 1e-10
 _GENERAL_MAX_ORDER = 64
+
+
+def _rounding_tol(values):
+    """1e-9 * max(1, max|v|): parts of values this small are rounding."""
+    return 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
+
+
+def _spectral_order(values):
+    """Sorting indices: real values stably ascending, complex by real part.
+
+    A run of sorted real parts with neighbour gaps within _rounding_tol is one tie,
+    ordered by imaginary part, so a conjugate pair a solver split still pairs.
+    """
+    order = values.real.argsort(kind="stable")
+    if not np.iscomplexobj(values):
+        return order
+    re_sorted = values.real[order]
+    run = (np.diff(re_sorted, prepend=re_sorted[:1]) > _rounding_tol(values)).cumsum()
+    return order[np.lexsort((values.imag[order], run))]
+
+
+def _real_part(values):
+    """The real part of values when every imaginary part is rounding, else None."""
+    real = np.abs(values.imag).max(initial=0.0) <= _rounding_tol(values)
+    return values.real if real else None
+
+
+def _json_values(values):
+    """Floats for real values, [real, imag] pairs for complex ones."""
+    if np.iscomplexobj(values):
+        return [[float(v.real), float(v.imag)] for v in values]
+    return [float(v) for v in values]
 
 
 class Spectrum:
     """Sorted spectrum values plus the kind of computation that produced them.
 
     kind "hermitian_eig" and "singular" hold ascending real values;
-    "general_eig" holds complex values sorted by (real, imag).
+    "general_eig" holds complex values in the order of _spectral_order.
     """
 
     KINDS = ("hermitian_eig", "singular", "general_eig")
@@ -32,13 +69,10 @@ class Spectrum:
     def __init__(self, values, kind):
         if kind not in self.KINDS:
             raise ValueError(f"unknown spectrum kind {kind!r}")
-        if kind == "general_eig":
-            v = np.asarray(values, dtype=complex)
-            v = v[np.lexsort((v.imag, v.real))]
-        else:
-            v = np.sort(np.asarray(values, dtype=float))
-            if kind == "singular" and v.size and v[0] < 0:
-                raise ValueError("singular values must be nonnegative")
+        v = np.asarray(values, dtype=complex if kind == "general_eig" else float)
+        v = v[_spectral_order(v)]
+        if kind == "singular" and v.size and v[0] < 0:
+            raise ValueError("singular values must be nonnegative")
         self.values = v
         self.values.flags.writeable = False
         self.kind = kind
@@ -61,6 +95,10 @@ class Spectrum:
 
     def write_csv(self, path):
         atomic_write_text(path, self.to_csv_text())
+
+    def to_json_text(self):
+        obj = {"kind": self.kind, "values": _json_values(self.values)}
+        return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _as_square(a):
@@ -97,43 +135,50 @@ def _is_triangular(a):
 
 
 def eig_general_small(a):
-    """Complex eigenvalues of a small general matrix, sorted by (real, imag).
+    """Complex eigenvalues of a small general matrix, in _spectral_order.
 
     Order is capped at 64.  Triangular input and 2x2 input bypass the
     iterative solver: the diagonal, respectively the quadratic formula, give
     the eigenvalues exactly, which matters for defective matrices where
     iterative solvers lose half or more of the working digits.
     """
+    return Spectrum(_eig_general_values(a), "general_eig")
+
+
+def _eig_general_values(a):
+    # unsorted, for callers that pool many small solves and sort once
     a = _as_square(a)
     n = a.shape[0]
     if n > _GENERAL_MAX_ORDER:
         raise ValueError(f"general eigensolve capped at order {_GENERAL_MAX_ORDER}, got {n}")
     if n == 1:
-        return Spectrum([a[0, 0]], "general_eig")
+        return [a[0, 0]]
     if _is_triangular(a):
-        return Spectrum(np.diag(a), "general_eig")
+        return np.diag(a)
     if n == 2:
         t = a[0, 0] + a[1, 1]
         disc = (a[0, 0] - a[1, 1]) ** 2 + 4 * a[0, 1] * a[1, 0]
         root = np.sqrt(complex(disc))
-        return Spectrum([(t - root) / 2, (t + root) / 2], "general_eig")
+        return [(t - root) / 2, (t + root) / 2]
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"general eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise NumericError("general eigensolve produced non-finite values")
-    return Spectrum(w, "general_eig")
+    return w
 
 
 def singular_values(a):
-    """Ascending singular values via the smaller of the two Gram matrices."""
+    """Ascending singular values from one SVD, accurate down to tiny values."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("need a matrix")
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    w = eig_hermitian(gram).values
-    return Spectrum(np.sqrt(np.clip(w, 0.0, None)), "singular")
+    try:
+        w = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular value decomposition failed: {exc}") from exc
+    return Spectrum(w, "singular")
 
 
 def fourier_sum(f, n, theta):
@@ -171,15 +216,6 @@ def _test_function(f_id):
     raise ValueError(f"unknown test function id {f_id!r}; use abs_power_P or chebyshev_K")
 
 
-def _symbol_samples(f, domain, pts_per_dim):
-    # tensor midpoint rule per box side; on a full period this matches trapezoid
-    axes = [lo + (hi - lo) * (np.arange(pts_per_dim) + 0.5) / pts_per_dim
-            for lo, hi in domain]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return f.sample(pts)
-
-
 def distribution_test(spec, f, domain=None, f_id="abs_power_1"):
     """Compare spectral and symbol means of a test function.
 
@@ -200,12 +236,13 @@ def distribution_test(spec, f, domain=None, f_id="abs_power_1"):
     env = _quad_points_env()
     pts = max(512, env) if env else 512
 
-    samples = _symbol_samples(f, domain, pts)
+    # tensor midpoint rule per box side; on a full period this matches trapezoid
+    samples = f.sample(_tensor_grid(
+        [lo + (hi - lo) * (np.arange(pts) + 0.5) / pts for lo, hi in domain]))
     if f.s == f.r == 1:
-        vals = samples[:, 0, 0]
-        if np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * max(1.0, np.max(np.abs(vals))):
+        vals = _real_part(samples[:, 0, 0])
+        if vals is None:
             raise ValueError("symbol is not real valued on the grid; cannot compare")
-        vals = vals.real
     else:
         herm_dev = np.max(np.abs(samples - samples.conj().transpose(0, 2, 1)))
         if herm_dev > 1e-9:

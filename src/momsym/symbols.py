@@ -252,6 +252,12 @@ def _normalize_k_range(k_range):
     return boxes
 
 
+def _tensor_grid(axes):
+    """(npts, d) points of the tensor grid over per-variable axes, first variable slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def fourier_coefficients(f_callable, k_range, quad_points_per_dim=None):
     """Recover Fourier coefficients of a periodic callable by quadrature.
 
@@ -272,9 +278,7 @@ def fourier_coefficients(f_callable, k_range, quad_points_per_dim=None):
     if pts < min_pts:
         raise ValueError(f"{pts} quadrature points cannot resolve |k| <= {kmax}; need >= {min_pts}")
 
-    axes = [np.arange(pts) * (2 * np.pi / pts)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    grid = _tensor_grid([np.arange(pts) * (2 * np.pi / pts)] * d)
     probe = _as_coeff(f_callable(grid[0]) if d > 1 else f_callable(grid[0, 0]))
     s, r = probe.shape
     values = np.empty((grid.shape[0], s, r), dtype=complex)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momsym import (CoefficientScaling, GridSpec, LaurentSymbol,
-                    MomentarySymbol, compare, eig_general_small, eig_hermitian,
+                    MomentarySymbol, Spectrum, compare, eig_general_small, eig_hermitian,
                     h2xn_dirichlet_neumann, interlacing_check,
                     sample_spectrum_approx, tau_matrix, toeplitz,
                     verify_tau_decomposition, zero_distribution_stats)
@@ -103,6 +103,14 @@ class TestCompare:
         spec = eig_general_small(np.diag([1.0, 2.0]) + 0j)
         rep = compare(spec, np.array([2.0 + 0j, 1.0 + 0j]))
         assert rep.max_error == 0.0
+
+    def test_conjugate_pair_split_by_rounding(self):
+        # a solver may split the real parts of a conjugate pair by one ulp;
+        # both sides must still pair a+bi with a+bi, not with a-bi
+        a, b = 2.5, 0.75
+        exact = Spectrum([complex(np.nextafter(a, 0), b), complex(a, -b)], "general_eig")
+        rep = compare(exact, np.array([complex(a, b), complex(a, -b)]))
+        assert rep.max_error <= 1e-15
 
     def test_report_serialization(self, tmp_path):
         spec = eig_hermitian(toeplitz(second_diff(), 4))

@@ -134,6 +134,13 @@ class TestSpectrumCommand:
         # fourth roots of unity
         assert np.allclose(sorted(abs(v) for v in vals), np.ones(4), atol=1e-12)
 
+    def test_oversized_build_is_argument_error(self, tmp_path, f1_path, capsys):
+        # refused before allocating: the dense result alone would be 1.6e15 bytes
+        rc = cli.main(["build", "--kind", "toeplitz", "--symbol", f1_path,
+                       "--n", "10000000", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "physical memory" in capsys.readouterr().err
+
     def test_missing_input_is_argument_error(self, tmp_path, capsys):
         rc = cli.main(["spectrum", "--kind", "hermitian", "--out", str(tmp_path)])
         assert rc == 3
@@ -251,6 +258,10 @@ class TestExampleCommand:
         rc = cli.main(["example", "3", "--n", "5", "--N", "2", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "example3_N2_n5.json").exists()
+
+    def test_example3_conjugate_pairs(self, tmp_path):
+        rc = cli.main(["example", "3", "--n", "33", "--N", "16", "--out", str(tmp_path)])
+        assert rc == 0
 
     def test_csv_artifacts(self, tmp_path):
         rc = cli.main(["example", "1", "--n", "7", "--format", "csv",

@@ -75,7 +75,7 @@ class TestExample2:
 
 
 class TestExample3:
-    @pytest.mark.parametrize("N,n", [(2, 4), (3, 5), (4, 8)])
+    @pytest.mark.parametrize("N,n", [(2, 4), (3, 5), (4, 8), (16, 33), (24, 33)])
     def test_sweep(self, N, n):
         rep = example3(N, n)
         assert rep.passed, rep.failed_flags()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import momsym.matrices as matrices
 from momsym import (LaurentSymbol, ParseError, circulant, identity_rect, kron,
                     matrix_to_csv_text, multilevel_toeplitz,
                     multilevel_toeplitz_rect, read_matrix_csv,
@@ -37,6 +38,11 @@ class TestToeplitz:
     def test_nonpositive_size(self):
         with pytest.raises(ValueError):
             toeplitz(second_diff(), 0)
+
+    def test_oversized_build_refused(self, monkeypatch):
+        monkeypatch.setattr(matrices, "_physical_memory", lambda: 2 ** 20)
+        with pytest.raises(ValueError, match="physical memory"):
+            toeplitz(second_diff(), 1000)
 
     def test_hermitian_iff_symbol_hermitian(self):
         rng = np.random.default_rng(51)

@@ -43,6 +43,12 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_json_text(self):
+        assert Spectrum([2.0, 1.0], "hermitian_eig").to_json_text() \
+            == '{"kind": "hermitian_eig", "values": [1.0, 2.0]}\n'
+        assert Spectrum([1 + 2j], "general_eig").to_json_text() \
+            == '{"kind": "general_eig", "values": [[1.0, 2.0]]}\n'
+
     def test_csv_text(self):
         assert Spectrum([2.0, 1.0], "hermitian_eig").to_csv_text() == "1.0\n2.0\n"
         assert Spectrum([1 + 2j], "general_eig").to_csv_text() == "1.0,2.0\n"
@@ -148,6 +154,23 @@ class TestSingularValues:
     def test_zero_matrix(self):
         got = singular_values(np.zeros((3, 5))).values
         assert np.array_equal(got, np.zeros(3))
+
+    def test_tiny_values_recovered(self):
+        # a Gram-matrix route squares the condition number and loses these
+        rng = np.random.default_rng(7)
+        want = np.array([1e-12, 1e-9, 1e-6, 1e-3, 1.0, 2.0])
+        q1, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        q2, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        got = singular_values(q1 @ np.diag(want) @ q2).values
+        assert np.all(np.abs(got - want) / want < 1e-3)
+
+    def test_solver_failure_is_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericError):
+            singular_values(np.eye(2))
 
     def test_wide_uses_smaller_side(self):
         rng = np.random.default_rng(75)
