@@ -81,16 +81,11 @@ def sample_spectrum_approx(sym, grid, size):
         raise ValueError(f"need {sym.d} grids, got {len(grids)}")
     if len(sizes) != sym.d:
         raise ValueError(f"need {sym.d} sizes, got {len(sizes)}")
+    if sym.s != sym.r:
+        raise ValueError("spectral sampling needs square-valued symbols")
 
     pts = _tensor_grid([g.angles(n) for g, n in zip(grids, sizes)])
-    samples = sym.sample(pts, sizes if len(sizes) > 1 else sizes[0])
-    if sym.s == sym.r == 1:
-        vals = samples[:, 0, 0]
-    else:
-        if sym.s != sym.r:
-            raise ValueError("spectral sampling needs square-valued symbols")
-        vals = np.concatenate([_eig_general_values(s) for s in samples]) \
-            if samples.size else np.zeros(0, dtype=complex)
+    vals = _eig_general_values(sym.sample(pts, sizes if len(sizes) > 1 else sizes[0]))
     real = _real_part(vals)
     vals = vals if real is None else real
     return vals[_spectral_order(vals)]
@@ -178,13 +173,11 @@ def interlacing_check(f, n):
     lam_m1, lam_m12, lam_0 = eig_desc(-1.0), eig_desc(-0.5), eig_desc(0.0)
     js = list(range(2, n))
     tol = 1e-12 * max(1.0, float(np.max(np.abs(lam_0))))
-    stated_fail, shifted_fail = [], []
-    for j in js:
-        i = j - 1
-        if not (lam_m1[i] <= lam_m12[i] + tol and lam_m12[i] <= lam_0[i] + tol):
-            stated_fail.append(j)
-        if not lam_m12[i] <= lam_0[i + 1] + tol:
-            shifted_fail.append(j)
+    i = np.arange(1, n - 1)
+    # ~(x <= y + tol) rather than x > y + tol, so a NaN counts as a failure
+    stated = ~((lam_m1[i] <= lam_m12[i] + tol) & (lam_m12[i] <= lam_0[i] + tol))
+    shifted = ~(lam_m12[i] <= lam_0[i + 1] + tol)
+    stated_fail, shifted_fail = (i[stated] + 1).tolist(), (i[shifted] + 1).tolist()
     return InterlacingReport(
         n=n,
         js=js,

@@ -59,11 +59,9 @@ def tau_eigvec_matrix(eps, phi, n):
     norm (last for (-1,-1), first for (1,1)) is scaled by 1/sqrt(2).
     """
     key = _check_pair(eps, phi)
-    n = int(n)
-    if n < 1:
-        raise ValueError("matrix order must be positive")
     _, b = _TAU_PARAMS[key]
     theta = tau_eigen_grid(eps, phi, n)
+    n = theta.size
     i = np.arange(1, n + 1, dtype=float)[:, None]
     if key[0] == -1:
         big = (i - 0.5) * theta[None, :]
@@ -95,10 +93,8 @@ def circulant_grid(n):
 
 def fourier_matrix(n):
     """Unitary F with F[i,j] = exp(1i (i-1) theta_j) / sqrt(n); diagonalizes circulants."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("matrix order must be positive")
     theta = circulant_grid(n)
+    n = theta.size
     i = np.arange(n)[:, None]
     return np.exp(1j * i * theta[None, :]) / math.sqrt(n)
 
@@ -110,10 +106,8 @@ def circulant_real_transform(n):
     a pi/2 phase shift; columns 1 and n/2+1 (the latter only for even n) are
     scaled by 1/sqrt(2).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("matrix order must be positive")
     theta = circulant_grid(n)
+    n = theta.size
     i = np.arange(1, n + 1, dtype=float)[:, None]
     big = i * theta[None, :]
     ncos = (n + 2) // 2

@@ -31,31 +31,17 @@ def _zeros(rows, cols):
     return np.zeros((rows, cols), dtype=complex)
 
 
-def _check_univariate(f):
-    if f.d != 1:
-        raise ValueError("builder needs a univariate symbol")
-
-
 def toeplitz(f, n):
     """T_n(f): block entry (i, j) is the coefficient of f at i - j."""
-    _check_univariate(f)
     if f.s != f.r:
         raise ValueError("square Toeplitz needs a square-coefficient symbol")
-    n = int(n)
-    if n <= 0:
-        raise ValueError("matrix order must be positive")
-    return multilevel_toeplitz_rect(f, (n,), (n,))
+    return multilevel_toeplitz_rect(f, int(n), int(n))
 
 
 def multilevel_toeplitz(f, n_vec):
     """Kronecker sum over coefficients of level shifts tensored with f_k."""
-    n_vec = tuple(int(v) for v in np.atleast_1d(n_vec))
-    if len(n_vec) != f.d:
-        raise ValueError(f"n_vec arity {len(n_vec)} does not match symbol arity {f.d}")
     if f.s != f.r:
         raise ValueError("square build needs a square-coefficient symbol")
-    if any(v <= 0 for v in n_vec):
-        raise ValueError("sizes must be positive")
     return multilevel_toeplitz_rect(f, n_vec, n_vec)
 
 
@@ -72,9 +58,8 @@ def shift_matrix(n):
 
 def circulant(f, n):
     """C_n(f) = sum of f_j Z_n^j over the support, support limited to |j| <= n-1."""
-    _check_univariate(f)
-    if not f.is_scalar():
-        raise ValueError("circulant needs a scalar symbol")
+    if f.d != 1 or not f.is_scalar():
+        raise ValueError("circulant needs a scalar univariate symbol")
     n = int(n)
     if n <= 0:
         raise ValueError("matrix order must be positive")
@@ -93,9 +78,6 @@ def tau_matrix(f, eps, phi, n):
     if abs(eps) > 1 or abs(phi) > 1:
         raise ValueError("corner weights must lie in [-1, 1]")
     _, f1 = _tridiagonal_coeffs(f, real_symmetric=True)
-    n = int(n)
-    if n <= 0:
-        raise ValueError("matrix order must be positive")
     a = toeplitz(f, n)
     a[0, 0] += eps * f1
     a[-1, -1] += phi * f1
@@ -116,11 +98,10 @@ def toeplitz_rect(f, n, m):
     Equal to T_n(f) I_{n x m} for n > m and I_{n x m} T_m(f) for n < m: the
     leading n x m block of T_max(n,m)(f).
     """
-    _check_univariate(f)
     if not f.is_scalar():
         raise ValueError("rectangular scalar build needs a scalar symbol; "
                          "use multilevel_toeplitz_rect for matrix-valued symbols")
-    return multilevel_toeplitz_rect(f, (int(n),), (int(m),))
+    return multilevel_toeplitz_rect(f, int(n), int(m))
 
 
 def multilevel_toeplitz_rect(f, n_vec, m_vec):
@@ -128,7 +109,7 @@ def multilevel_toeplitz_rect(f, n_vec, m_vec):
     n_vec = tuple(int(v) for v in np.atleast_1d(n_vec))
     m_vec = tuple(int(v) for v in np.atleast_1d(m_vec))
     if len(n_vec) != f.d or len(m_vec) != f.d:
-        raise ValueError("n_vec and m_vec must match the symbol arity")
+        raise ValueError(f"sizes {n_vec} x {m_vec} do not match the symbol arity {f.d}")
     if any(v <= 0 for v in n_vec + m_vec):
         raise ValueError("sizes must be positive")
     rows = f.s * int(np.prod(n_vec))
@@ -164,7 +145,10 @@ def read_matrix_csv(path):
         raise ParseError(f"cannot read matrix CSV {path}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ParseError(f"ragged or empty matrix CSV {path}")
-    return np.array(rows, dtype=complex)
+    a = np.array(rows, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ParseError(f"cannot read matrix CSV {path}: non-finite entry")
+    return a
 
 
 def matrix_to_json_text(a):
@@ -182,9 +166,11 @@ def read_matrix_json(path):
         with open(path) as fh:
             obj = json.load(fh)
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        flat = [complex(re, im) for re, im in obj["data"]]
+        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("non-finite entry")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"cannot read matrix JSON {path}: {exc}") from exc
     if len(flat) != rows * cols:
         raise ParseError(f"matrix JSON {path} has {len(flat)} entries, expected {rows * cols}")
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    return flat.reshape(rows, cols)

@@ -128,12 +128,6 @@ def eig_hermitian(a, vectors=False):
     return Spectrum(w, "hermitian_eig")
 
 
-def _is_triangular(a):
-    lower = np.all(a[np.triu_indices_from(a, 1)] == 0)
-    upper = np.all(a[np.tril_indices_from(a, -1)] == 0)
-    return lower or upper
-
-
 def eig_general_small(a):
     """Complex eigenvalues of a small general matrix, in _spectral_order.
 
@@ -142,31 +136,41 @@ def eig_general_small(a):
     the eigenvalues exactly, which matters for defective matrices where
     iterative solvers lose half or more of the working digits.
     """
-    return Spectrum(_eig_general_values(a), "general_eig")
+    return Spectrum(_eig_general_values(_as_square(a)[None]), "general_eig")
+
+
+def _cmul(x, y):
+    """Elementwise x * y from real parts, rounded as scalar complex arithmetic rounds."""
+    out = np.empty_like(y)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _eig_general_values(a):
-    # unsorted, for callers that pool many small solves and sort once
-    a = _as_square(a)
-    n = a.shape[0]
+    """Flattened, unsorted eigenvalues of a (count, n, n) stack, each by eig_general_small's rules."""
+    n = a.shape[-1]
     if n > _GENERAL_MAX_ORDER:
         raise ValueError(f"general eigensolve capped at order {_GENERAL_MAX_ORDER}, got {n}")
-    if n == 1:
-        return [a[0, 0]]
-    if _is_triangular(a):
-        return np.diag(a)
+    rows, cols = np.triu_indices(n, 1)
+    rest = ~(np.all(a[:, rows, cols] == 0, axis=1) | np.all(a[:, cols, rows] == 0, axis=1))
+    w = np.diagonal(a, axis1=1, axis2=2).copy()
+    b = a[rest]
     if n == 2:
-        t = a[0, 0] + a[1, 1]
-        disc = (a[0, 0] - a[1, 1]) ** 2 + 4 * a[0, 1] * a[1, 0]
-        root = np.sqrt(complex(disc))
-        return [(t - root) / 2, (t + root) / 2]
-    try:
-        w = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"general eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise NumericError("general eigensolve produced non-finite values")
-    return w
+        # np.power and _cmul keep the bits of the per-matrix formula: numpy's vectorised
+        # complex multiply and x**2 (which it turns into square) round differently on
+        # some SIMD builds, down to the sign of a zero imaginary part and so the sqrt branch
+        t = b[:, 0, 0] + b[:, 1, 1]
+        root = np.sqrt(np.power(b[:, 0, 0] - b[:, 1, 1], 2) + _cmul(4 * b[:, 0, 1], b[:, 1, 0]))
+        w[rest] = np.stack([(t - root) / 2, (t + root) / 2], axis=1)
+    elif b.size:
+        try:
+            w[rest] = v = np.linalg.eigvals(b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"general eigensolve failed: {exc}") from exc
+        if not np.all(np.isfinite(v)):
+            raise NumericError("general eigensolve produced non-finite values")
+    return w.ravel()
 
 
 def singular_values(a):

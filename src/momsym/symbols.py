@@ -198,16 +198,18 @@ class LaurentSymbol:
     def from_json(cls, obj):
         try:
             d, s, r = int(obj["d"]), int(obj["s"]), int(obj["r"])
+            if min(d, s, r) < 1:
+                raise ValueError("d, s and r must be positive")
             coeffs = {}
             for entry in obj["coeffs"]:
                 key = tuple(int(v) for v in entry["k"])
                 m = np.array([[complex(re, im) for re, im in row] for row in entry["m"]])
                 coeffs[key] = m
+            if not all(np.all(np.isfinite(m)) for m in coeffs.values()):
+                raise ValueError("non-finite coefficient")
+            return cls(coeffs, d=d, s=s, r=r)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad symbol JSON: {exc}") from exc
-        if not all(np.all(np.isfinite(m)) for m in coeffs.values()):
-            raise ParseError("bad symbol JSON: non-finite coefficient")
-        return cls(coeffs, d=d, s=s, r=r)
 
 
 def evaluate_symbol(f, theta):
@@ -540,11 +542,12 @@ class MomentarySymbol:
     @classmethod
     def from_json(cls, obj):
         try:
-            terms = [(CoefficientScaling.from_json(t["scaling"]),
-                      LaurentSymbol.from_json(t["symbol"])) for t in obj["terms"]]
-        except (KeyError, TypeError) as exc:
+            return cls([(CoefficientScaling.from_json(t["scaling"]),
+                         LaurentSymbol.from_json(t["symbol"])) for t in obj["terms"]])
+        except ParseError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad momentary symbol JSON: {exc}") from exc
-        return cls(terms)
 
 
 def momentary_evaluate(m, theta, size):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import momsym.analysis as analysis
 from momsym import (CoefficientScaling, GridSpec, LaurentSymbol,
                     MomentarySymbol, Spectrum, compare, eig_general_small, eig_hermitian,
                     h2xn_dirichlet_neumann, interlacing_check,
                     sample_spectrum_approx, tau_matrix, toeplitz,
                     verify_tau_decomposition, zero_distribution_stats)
+from momsym.spectra import _real_part, _spectral_order
 
 
 def second_diff():
@@ -58,6 +60,42 @@ class TestSampling:
         got = sample_spectrum_approx(f, GridSpec.parse("circulant"), 4)
         assert np.iscomplexobj(got)
         assert np.array_equal(got, got[np.lexsort((got.imag, got.real))])
+
+    @pytest.mark.parametrize("kind", ["complex2", "complex3", "upper3", "real2_rotation"])
+    def test_stacked_solver_bytes_match_per_point_formulas(self, kind):
+        # the stacked solve must reproduce, bit for bit and signed zeros included,
+        # one scalar solve per grid point: the diagonal of triangular samples,
+        # np.sqrt(complex(disc)) for 2x2 ones, np.linalg.eigvals otherwise
+        rng = np.random.default_rng(91)
+        s = int(kind[-1]) if kind[-1].isdigit() else 2
+        if kind == "real2_rotation":
+            rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+            f = LaurentSymbol({0: 2.0 * np.eye(2) + rot, 1: rot, -1: 0.5 * rot.T})
+        else:
+            coeffs = {k: rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+                      for k in (-2, -1, 0, 1)}
+            if kind.startswith("upper"):
+                coeffs = {k: np.triu(m) for k, m in coeffs.items()}
+            f = LaurentSymbol(coeffs)
+        for grid, n in ((GridSpec.parse("circulant"), 64), (GridSpec.tau(0, 1), 33)):
+            vals = []
+            for a in f.sample(grid.angles(n)):
+                if np.all(np.triu(a, 1) == 0) or np.all(np.tril(a, -1) == 0):
+                    vals.extend(np.diag(a))
+                elif a.shape == (2, 2):
+                    t = a[0, 0] + a[1, 1]
+                    disc = (a[0, 0] - a[1, 1]) ** 2 + 4 * a[0, 1] * a[1, 0]
+                    root = np.sqrt(complex(disc))
+                    vals.extend([(t - root) / 2, (t + root) / 2])
+                else:
+                    vals.extend(np.linalg.eigvals(a))
+            want = np.array(vals, dtype=complex)
+            real = _real_part(want)
+            want = want if real is None else real
+            want = want[_spectral_order(want)]
+            got = sample_spectrum_approx(f, grid, n)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_grid_count_mismatch(self):
         f = LaurentSymbol({(0, 0): 1.0})
@@ -188,6 +226,31 @@ class TestInterlacing:
         rep = interlacing_check(f, 10)
         assert rep.stated_holds
         assert np.all(np.diff(rep.eig_phi_0) < 0)
+
+    @pytest.mark.parametrize("nan_at", [None, 3])
+    def test_fail_lists_match_per_index_loop(self, monkeypatch, nan_at):
+        # the masked comparison must list the same j as a loop over j, and a
+        # NaN eigenvalue must count as a failure rather than pass silently
+        if nan_at is not None:
+            solve = analysis.eig_hermitian
+
+            def nan_in_middle_variant(a):
+                values = solve(a).values.copy()
+                if a[-1, -1] == -0.5:  # the phi = -1/2 build of the cosine symbol
+                    values[nan_at] = np.nan
+                return Spectrum(values, "hermitian_eig")
+
+            monkeypatch.setattr(analysis, "eig_hermitian", nan_in_middle_variant)
+        n = 32
+        rep = interlacing_check(LaurentSymbol({1: 1.0, -1: 1.0}), n)
+        lo, mid, hi = rep.eig_phi_m1, rep.eig_phi_m12, rep.eig_phi_0
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(hi))))
+        stated = [j for j in range(2, n)
+                  if not (lo[j - 1] <= mid[j - 1] + tol and mid[j - 1] <= hi[j - 1] + tol)]
+        shifted = [j for j in range(2, n) if not mid[j - 1] <= hi[j] + tol]
+        assert rep.stated_fail_j == stated and rep.shifted_fail_j == shifted
+        assert all(type(j) is int for j in stated + shifted)
+        assert shifted and rep.stated_holds == (nan_at is None)
 
     def test_rejects_increasing_symbol(self):
         with pytest.raises(ValueError):

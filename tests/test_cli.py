@@ -154,6 +154,37 @@ class TestSpectrumCommand:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("nan.csv", "1.0+0.0j,nan+0.0j\n2.0+0.0j,1.0+0.0j\n"),
+        ("inf.csv", "1.0+0.0j,0.0+infj\n2.0+0.0j,1.0+0.0j\n"),
+        ("nan.json", '{"rows":1,"cols":2,"data":[[1.0,0.0],[NaN,0.0]]}'),
+        ("inf.json", '{"rows":1,"cols":1,"data":[[0.0,-Infinity]]}'),
+    ], ids=["nan_csv", "inf_csv", "nan_json", "inf_json"])
+    @pytest.mark.parametrize("kind", ["hermitian", "singular", "general"])
+    def test_non_finite_matrix_file_is_parse_error(self, tmp_path, capsys, name, text, kind):
+        bad = tmp_path / name
+        bad.write_text(text)
+        rc = cli.main(["spectrum", "--matrix", str(bad), "--kind", kind,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / f"spectrum_{kind}.csv").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"s": 2, "r": 2},                 # coefficient shape disagrees with s, r
+        {"d": 2},                         # k arity disagrees with d
+        {"d": 0, "coeffs": []},
+        {"s": 0, "r": 0, "coeffs": []},   # used to build an empty matrix
+    ], ids=["shape", "arity", "d0", "s0r0"])
+    def test_inconsistent_symbol_json_is_parse_error(self, tmp_path, capsys, change):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**second_diff().to_json(), **change}))
+        rc = cli.main(["build", "--kind", "toeplitz", "--symbol", str(bad),
+                       "--n", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error (parse): bad symbol JSON" in capsys.readouterr().err
+        assert not (tmp_path / "toeplitz_n3.csv").exists()
+
     def test_numeric_failure_maps_to_exit_4(self, tmp_path, f1_path, monkeypatch, capsys):
         def boom(a):
             raise NumericError("did not converge")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import momsym.matrices as matrices
-from momsym import (LaurentSymbol, ParseError, circulant, identity_rect, kron,
+from momsym import (LaurentSymbol, ParseError, circulant, circulant_grid,
+                    circulant_real_transform, fourier_matrix, identity_rect, kron,
                     matrix_to_csv_text, multilevel_toeplitz,
                     multilevel_toeplitz_rect, read_matrix_csv,
-                    read_matrix_json, shift_matrix, tau_matrix, toeplitz,
+                    read_matrix_json, shift_matrix, tau_eigen_grid,
+                    tau_eigvec_matrix, tau_matrix, toeplitz,
                     toeplitz_rect, write_matrix_csv, write_matrix_json)
 
 
@@ -227,6 +229,30 @@ class TestRectangular:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             multilevel_toeplitz_rect(second_diff(), (3, 3), (2,))
+
+
+BIVARIATE = LaurentSymbol({(0, 0): 2.0, (1, 0): -1.0, (-1, 0): -1.0})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: toeplitz(BIVARIATE, 3),
+    lambda: toeplitz_rect(BIVARIATE, 3, 2),
+    lambda: circulant(BIVARIATE, 3),
+    lambda: multilevel_toeplitz(BIVARIATE, (3, 0)),
+    lambda: tau_matrix(second_diff(), 0, 0, 0),
+    lambda: tau_eigvec_matrix(0, 0, 0),
+    lambda: fourier_matrix(0),
+    lambda: circulant_real_transform(0),
+    lambda: tau_eigen_grid(0, 0, 0),
+    lambda: circulant_grid(0),
+], ids=["toeplitz_bivariate", "toeplitz_rect_bivariate", "circulant_bivariate",
+        "multilevel_size_0", "tau_matrix_n0", "tau_eigvec_matrix_n0", "fourier_matrix_n0",
+        "circulant_real_transform_n0", "tau_eigen_grid_n0", "circulant_grid_n0"])
+def test_wrapper_rejections_come_from_the_kernel(call):
+    # size, arity and univariate checks live in multilevel_toeplitz_rect and the
+    # grid functions; the builders and transforms on top of them still refuse
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestKron:

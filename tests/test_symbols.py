@@ -423,3 +423,17 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(ParseError):
             LaurentSymbol.from_json({"d": 1, "coeffs": "nope"})
+
+    @pytest.mark.parametrize("terms", [
+        [],
+        [{"scaling": {"form": "one"}, "symbol": {"d": 1, "s": 1, "r": 1, "coeffs": []}},
+         {"scaling": {"form": "one"}, "symbol": {"d": 2, "s": 1, "r": 1, "coeffs": []}}],
+    ], ids=["no_terms", "mixed_arity"])
+    def test_momentary_inconsistent_rejected(self, terms):
+        with pytest.raises(ParseError, match="bad momentary symbol JSON"):
+            MomentarySymbol.from_json({"terms": terms})
+
+    def test_momentary_keeps_term_message(self):
+        bad = {"d": 1, "s": 0, "r": 0, "coeffs": []}
+        with pytest.raises(ParseError, match="^bad symbol JSON: d, s and r must be positive"):
+            MomentarySymbol.from_json({"terms": [{"scaling": {"form": "one"}, "symbol": bad}]})
