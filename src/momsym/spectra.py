@@ -101,8 +101,8 @@ class Spectrum:
         return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _as_square(a):
-    a = np.asarray(a, dtype=complex)
+def _as_square(a, dtype=complex):
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     return a
@@ -112,10 +112,21 @@ def eig_hermitian(a, vectors=False):
     """Ascending real eigenvalues of a Hermitian matrix, optionally with vectors.
 
     Rejects input whose max deviation from its conjugate transpose exceeds
-    1e-10; the solve itself runs on the Hermitian average.
+    1e-10 (ValueError) or that holds a NaN or inf (NumericError); the solve
+    itself runs on the Hermitian average.  Input whose imaginary part is zero
+    everywhere is checked and solved in float64: on tridiagonal input the
+    values are bit-identical to the complex solve, as both LAPACK drivers
+    finish on the same tridiagonal form.  With vectors=True, real input gets
+    real eigenvectors (columns); no caller inside momsym asks for vectors.
     """
-    a = _as_square(a)
-    if np.max(np.abs(a - a.conj().T), initial=0.0) > _HERM_TOL:
+    a = np.asarray(a)
+    real = not (np.iscomplexobj(a) and a.imag.any())
+    a = _as_square(a.real if real else a, float if real else complex)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported just below
+        dev = np.max(np.abs(a - a.conj().T), initial=0.0)
+    if not np.isfinite(dev):
+        raise NumericError("matrix has NaN or infinite entries")
+    if dev > _HERM_TOL:
         raise ValueError("matrix is not Hermitian to 1e-10")
     h = 0.5 * (a + a.conj().T)
     try:
@@ -134,7 +145,8 @@ def eig_general_small(a):
     Order is capped at 64.  Triangular input and 2x2 input bypass the
     iterative solver: the diagonal, respectively the quadratic formula, give
     the eigenvalues exactly, which matters for defective matrices where
-    iterative solvers lose half or more of the working digits.
+    iterative solvers lose half or more of the working digits.  A NaN or inf
+    entry raises NumericError.
     """
     return Spectrum(_eig_general_values(_as_square(a)[None]), "general_eig")
 
@@ -152,6 +164,8 @@ def _eig_general_values(a):
     n = a.shape[-1]
     if n > _GENERAL_MAX_ORDER:
         raise ValueError(f"general eigensolve capped at order {_GENERAL_MAX_ORDER}, got {n}")
+    if not np.isfinite(a).all():
+        raise NumericError("matrix has NaN or infinite entries")
     rows, cols = np.triu_indices(n, 1)
     rest = ~(np.all(a[:, rows, cols] == 0, axis=1) | np.all(a[:, cols, rows] == 0, axis=1))
     w = np.diagonal(a, axis1=1, axis2=2).copy()
@@ -174,10 +188,15 @@ def _eig_general_values(a):
 
 
 def singular_values(a):
-    """Ascending singular values from one SVD, accurate down to tiny values."""
+    """Ascending singular values from one SVD, accurate down to tiny values.
+
+    A NaN or inf entry raises NumericError.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("need a matrix")
+    if not np.isfinite(a).all():
+        raise NumericError("matrix has NaN or infinite entries")
     try:
         w = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -31,6 +31,7 @@ _SYMBOLS = {
     "one": {0: 1.0},
     "ns4": {-1: -1.0, 0: 3.0, 1: 0.5, 2: 0.25},
     "wide": {0: 6.0, 1: -4.0, -1: -4.0, 2: 1.0, -2: 1.0},
+    "herm_c": {0: 2.0, 1: 1j, -1: -1j},
     "shift": {1: 1.0},
     "isin": {1: 1.0, -1: -1.0},
     "nonsym_tri": {0: 2.0, 1: -1.0, -1: -0.5},
@@ -86,6 +87,8 @@ def _commands():
 
     spectra = [("hermitian_tau", ["--symbol", _IN + "f1.json", "--build-kind", "tau",
                                   "--phi", "1", "--n", "9", "--kind", "hermitian"]),
+               ("hermitian_complex", ["--symbol", _IN + "herm_c.json", "--build-kind", "toeplitz",
+                                      "--n", "9", "--kind", "hermitian"]),
                ("general_ns4", ["--symbol", _IN + "ns4.json", "--n", "9", "--kind", "general"]),
                ("singular_rect", ["--symbol", _IN + "f1.json", "--build-kind", "toeplitz-rect",
                                   "--n", "5", "--m", "8", "--kind", "singular"])]
@@ -93,6 +96,8 @@ def _commands():
         for fmt in ("csv", "json"):
             cmds.append((f"spectrum_{name}_{fmt}", ["spectrum"] + args + ["--format", fmt]))
     cmds += [
+        ("spectrum_wide", ["spectrum", "--symbol", _IN + "wide.json", "--n", "9",
+                           "--kind", "hermitian"]),
         ("spectrum_multilevel", ["spectrum", "--symbol", _IN + "lap2.json",
                                  "--build-kind", "multilevel", "--n", "3,4", "--format", "json"]),
         ("spectrum_shift_circulant", ["spectrum", "--symbol", _IN + "shift.json",

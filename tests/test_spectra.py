@@ -1,12 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momsym import (LaurentSymbol, NumericError, Spectrum, circulant,
                     circulant_grid, distribution_test, eig_general_small,
                     eig_hermitian, fourier_sum, identity_rect,
                     singular_values, tau_matrix, toeplitz)
+from momsym.examples import h2xn_dirichlet_neumann
+
+TAU_PAIRS = [(e, p) for e in (-1, 0, 1) for p in (-1, 0, 1)]
 
 
 def second_diff():
@@ -87,8 +93,19 @@ class TestEigHermitian:
         rng = np.random.default_rng(71)
         a = rng.normal(size=(6, 6))
         a = a + a.T
+        # a real matrix stored as complex128, as the builders return it, gets real vectors too
+        for stored in (a, a.astype(complex)):
+            spec, v = eig_hermitian(stored, vectors=True)
+            assert v.dtype == np.float64
+            assert np.abs(v @ np.diag(spec.values) @ v.T - a).max() <= 1e-12
+
+    def test_complex_vectors_reconstruct(self):
+        rng = np.random.default_rng(76)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a = a + a.conj().T
         spec, v = eig_hermitian(a, vectors=True)
-        assert np.abs(v @ np.diag(spec.values) @ v.T - a).max() <= 1e-12
+        assert v.dtype == np.complex128
+        assert np.abs(v @ np.diag(spec.values) @ v.conj().T - a).max() <= 1e-12
 
     def test_trace_identity(self):
         rng = np.random.default_rng(72)
@@ -96,6 +113,109 @@ class TestEigHermitian:
         a = a + a.conj().T
         got = eig_hermitian(a).values
         assert np.sum(got) == pytest.approx(np.trace(a).real, abs=1e-11)
+
+
+def complex_reference(a):
+    """The dense complex solve eig_hermitian ran on every input before real arithmetic."""
+    return np.linalg.eigvalsh(np.asarray(a).astype(complex))
+
+
+_entries = st.floats(-100, 100, allow_subnormal=False)
+
+
+@st.composite
+def real_tridiagonals(draw):
+    n = draw(st.integers(1, 40))
+    diag = draw(st.lists(_entries, min_size=n, max_size=n))
+    off = draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def tridiagonal_family():
+    f = second_diff()
+    g = LaurentSymbol({0: 3.0, 1: -1.25, -1: -1.25})
+    for n in (7, 64, 512):
+        for e, p in TAU_PAIRS:
+            yield f"tau_{e}_{p}_n{n}", tau_matrix(f, e, p, n)
+        yield f"tau_g_n{n}", tau_matrix(g, 1, -1, n)
+        yield f"toeplitz_n{n}", toeplitz(g, n)
+        yield f"h2xn_dirichlet_neumann_n{n}", h2xn_dirichlet_neumann(n)
+
+
+class TestRealArithmetic:
+    """Real input is solved in float64; on tridiagonal input the bits match the complex solve."""
+
+    @settings(deadline=None)
+    @given(real_tridiagonals())
+    def test_random_tridiagonal_bytes_match_complex_solve(self, a):
+        assert eig_hermitian(a).values.tobytes() == complex_reference(a).tobytes()
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in tridiagonal_family()])
+    def test_family_bytes_match_complex_solve(self, a):
+        # the builders return complex128 with a zero imaginary part
+        assert a.dtype == np.complex128
+        assert eig_hermitian(a).values.tobytes() == complex_reference(a).tobytes()
+
+    @pytest.mark.parametrize("n,seed", [(5, 81), (40, 82), (200, 83)])
+    def test_dense_symmetric_agrees_with_complex_solve(self, n, seed):
+        a = np.random.default_rng(seed).normal(size=(n, n))
+        a = a + a.T
+        got, want = eig_hermitian(a).values, complex_reference(a)
+        assert np.abs(got - want).max() <= 1e-13 * (1 + np.abs(want).max())
+
+    @pytest.mark.parametrize("n,seed", [(5, 84), (40, 85)])
+    def test_complex_hermitian_bytes_unchanged(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = a + a.conj().T
+        assert eig_hermitian(a).values.tobytes() == complex_reference(a).tobytes()
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_solver_sees_float64_for_real_input(self, monkeypatch, vectors):
+        seen = []
+        for name in ("eigvalsh", "eigh"):
+            def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                seen.append(a.dtype)
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        real = tau_matrix(second_diff(), 0, 1, 6)
+        herm = np.array([[2.0, 1j], [-1j, 2.0]])
+        for a in (real, real.real, [[2, -1], [-1, 2]], herm):
+            eig_hermitian(a, vectors=vectors)
+        assert seen == [np.float64] * 3 + [np.complex128]
+
+
+class TestExactToRounding:
+    """Tau spectra against a 50-digit mpmath reference that does not use LAPACK."""
+
+    @pytest.mark.parametrize("e,p", TAU_PAIRS)
+    def test_tau_matches_mpmath(self, e, p):
+        symbols = [second_diff(), LaurentSymbol({0: 3.0, 1: -1.25, -1: -1.25})]
+        with mpmath.workdps(50):
+            for f, n in [(f, n) for f in symbols for n in (1, 2, 5, 12)]:
+                a = tau_matrix(f, e, p, n).real
+                want = sorted(mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True))
+                want = np.array([float(w) for w in want])
+                got = eig_hermitian(a).values
+                assert np.abs(got - want).max() <= 1e-14 * (1 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("solve,a", [
+    (eig_hermitian, [[np.nan, 0.0], [0.0, 1.0]]),
+    (eig_hermitian, [[np.nan, 1.0], [1.0, 0.0]]),
+    (eig_hermitian, [[np.inf, 0.0], [0.0, 1.0]]),
+    (eig_hermitian, [[1.0, -np.inf], [-np.inf, 1.0]]),
+    (eig_hermitian, [[complex(1.0, np.inf), 0.0], [0.0, 1.0]]),
+    (singular_values, [[np.inf, 0.0], [0.0, 1.0]]),
+    (singular_values, [[1.0, np.nan, 0.0]]),
+    (eig_general_small, [[np.nan, 1.0], [1.0, 0.0]]),
+    (eig_general_small, [[np.nan, 0.0], [1.0, 0.0]]),
+    (eig_general_small, [[np.inf]]),
+    (eig_general_small, np.diag([1.0, np.nan, 2.0]) + np.eye(3, k=1)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_non_finite_entries_raise_numeric_error(solve, a):
+    with pytest.raises(NumericError):
+        solve(a)
 
 
 class TestEigGeneralSmall:
