@@ -1,15 +1,15 @@
 """Small file-output helpers: atomic writes and stable number formatting."""
 
 import os
-import tempfile
 
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file + rename so readers never see partial output."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fh = open(tmp, "x")  # O_EXCL; mode 0o666 & ~umask, as open(path, "w") gives
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

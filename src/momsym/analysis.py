@@ -44,8 +44,8 @@ class SpectrumReport:
     def write_csv(self, path):
         atomic_write_text(path, self.to_csv_text())
 
-    def to_json_text(self):
-        obj = {
+    def to_json(self):
+        return {
             "grid": self.grid.name() if self.grid is not None else None,
             "symbol_kind": self.symbol_kind,
             "size": [int(v) for v in self.size],
@@ -55,7 +55,9 @@ class SpectrumReport:
             "approx": _json_values(np.asarray(self.approx)),
             "per_index_error": _json_values(self.per_index_error),
         }
-        return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+    def to_json_text(self):
+        return json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n"
 
     def write_json(self, path):
         atomic_write_text(path, self.to_json_text())

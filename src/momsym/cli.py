@@ -33,6 +33,8 @@ EXIT_ARGUMENT = 3
 EXIT_NUMERIC = 4
 EXIT_CLAIM_FAILED = 5
 
+BUILD_KINDS = ("toeplitz", "multilevel", "circulant", "tau", "toeplitz-rect")
+
 
 def _parse_sizes(text):
     try:
@@ -42,6 +44,13 @@ def _parse_sizes(text):
     if not sizes or any(v <= 0 for v in sizes):
         raise ValueError(f"sizes must be positive integers, got {text!r}")
     return sizes
+
+
+def _one_size(flag, text):
+    sizes = _parse_sizes(text)
+    if len(sizes) != 1:
+        raise ValueError(f"{flag} takes one size, got {text!r}")
+    return sizes[0]
 
 
 def _safe(name):
@@ -68,7 +77,7 @@ def _load_momentary(symbol_paths, scaling_specs):
 
 def cmd_grid(args):
     spec = GridSpec.parse(args.grid)
-    (n,) = _parse_sizes(args.n)
+    n = _one_size("--n", args.n)
     angles = spec.angles(n)
     text = "\n".join(fmt_real(v) for v in angles) + "\n"
     path = os.path.join(args.out, f"grid_{_safe(spec.name())}_n{n}.csv")
@@ -85,8 +94,6 @@ def _build_matrix(kind, sym, sizes, eps, phi, m_sizes=None):
         return toeplitz_rect(sym, sizes[0], m_sizes[0])
     single = {"toeplitz": toeplitz, "circulant": circulant,
               "tau": lambda f, n: tau_matrix(f, eps, phi, n)}
-    if kind not in single:
-        raise ValueError(f"unknown build kind {kind!r}")
     if len(sizes) != 1:
         raise ValueError(f"{kind} takes a single size")
     return single[kind](sym, sizes[0])
@@ -138,25 +145,17 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _exact_spectrum_for_grid(mom, grid, n):
-    a = grid.matrix(mom.fixed_size(n), n)
-    try:
-        return eig_hermitian(a)
-    except ValueError:
-        return eig_general_small(a)
-
-
 def cmd_compare(args):
     mom = _load_momentary(args.symbol, args.scaling)
     if mom.d != 1:
         raise ValueError("compare handles univariate symbols")
-    (n,) = _parse_sizes(args.n)
+    n = _one_size("--n", args.n)
     grid = GridSpec.parse(args.grid)
     # the exact matrix lives in the algebra of --exact-grid (default: the
     # sampling grid itself, so errors isolate what the symbol discards);
     # pin --exact-grid and vary --grid to expose grid-mismatch error instead
     exact_grid = GridSpec.parse(args.exact_grid) if args.exact_grid else grid
-    exact = _exact_spectrum_for_grid(mom, exact_grid, n)
+    exact = exact_grid.exact_spectrum(mom.fixed_size(n), n)
     written = []
     for report in _reports(exact, grid, n, momentary=mom, glt=mom.glt_symbol()):
         base = os.path.join(args.out, f"compare_{report.symbol_kind}")
@@ -172,11 +171,11 @@ def cmd_compare(args):
 def cmd_example(args):
     if args.id == "3" and args.N is None:
         raise ValueError("example 3 needs --N")
-    params = {"n": _parse_sizes(args.n)[0]}
+    params = {"n": _one_size("--n", args.n)}
     if args.id == "1":
         params["bc"] = args.bc
     elif args.id == "3":
-        params["N"] = _parse_sizes(args.N)[0]
+        params["N"] = _one_size("--N", args.N)
     rep = run_example(args.id, **params)
     for path in rep.write_artifacts(args.out, fmt=args.format):
         print(path)
@@ -207,8 +206,7 @@ def build_parser():
     g.set_defaults(func=cmd_grid)
 
     b = sub.add_parser("build", help="construct a matrix from a symbol JSON file")
-    b.add_argument("--kind", required=True,
-                   choices=["toeplitz", "multilevel", "circulant", "tau", "toeplitz-rect"])
+    b.add_argument("--kind", required=True, choices=BUILD_KINDS)
     b.add_argument("--symbol", required=True)
     b.add_argument("--n", required=True, help="size, or comma list for multilevel")
     b.add_argument("--m", help="column sizes for toeplitz-rect")
@@ -220,8 +218,7 @@ def build_parser():
     s = sub.add_parser("spectrum", help="eigen/singular values of a matrix")
     s.add_argument("--matrix", help="matrix file (.csv or .json)")
     s.add_argument("--symbol", help="build the matrix from this symbol instead")
-    s.add_argument("--build-kind", default="toeplitz",
-                   choices=["toeplitz", "multilevel", "circulant", "tau", "toeplitz-rect"])
+    s.add_argument("--build-kind", default="toeplitz", choices=BUILD_KINDS)
     s.add_argument("--n")
     s.add_argument("--m")
     s.add_argument("--eps", type=float, default=0.0)

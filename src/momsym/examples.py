@@ -27,8 +27,7 @@ import numpy as np
 from ._io import atomic_write_text
 from .analysis import _reports, compare, sample_spectrum_approx, verify_tau_decomposition
 from .grids import GridSpec
-from .matrices import (identity_rect, multilevel_toeplitz,
-                       multilevel_toeplitz_rect, tau_matrix, toeplitz)
+from .matrices import identity_rect, multilevel_toeplitz, multilevel_toeplitz_rect, toeplitz
 from .spectra import Spectrum, eig_general_small, eig_hermitian, singular_values
 from .symbols import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                       block_reinterpret, symmetrize_tridiagonal)
@@ -64,8 +63,7 @@ class ExampleReport:
             "passed": self.passed,
             "flags": dict(sorted(self.flags.items())),
             "notes": {k: v for k, v in sorted(self.notes.items())},
-            "reports": {label: json.loads(rep.to_json_text())
-                        for label, rep in sorted(self.reports.items())},
+            "reports": {label: rep.to_json() for label, rep in sorted(self.reports.items())},
         }
         return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
@@ -97,11 +95,15 @@ def _const_symbol(value=1.0):
     return LaurentSymbol({0: value})
 
 
+def _shifted_second_difference(grid, n):
+    """grid's matrix of 2 - 2cos(theta), plus h^2 I with h = 1/(n+1)."""
+    h = 1.0 / (n + 1)
+    return grid.matrix(second_difference_symbol(), n) + h * h * np.eye(n)
+
+
 def h2xn_dirichlet_neumann(n):
     """Scaled second-difference matrix with a Neumann corner: diag 2+h^2, last 1+h^2."""
-    n = int(n)
-    h = 1.0 / (n + 1)
-    return tau_matrix(second_difference_symbol(), 0, 1, n) + h * h * np.eye(n)
+    return _shifted_second_difference(GridSpec.tau(0, 1), int(n))
 
 
 # each boundary condition's matrix lies in the algebra of its matched grid
@@ -136,7 +138,7 @@ def example1(n, bc="dirichlet_neumann"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     matched = _BC_GRIDS[bc]
 
-    exact = eig_hermitian(matched.matrix(f1, n) + h * h * np.eye(n))
+    exact = eig_hermitian(_shifted_second_difference(matched, n))
     rep = ExampleReport("1", {"n": n, "bc": bc})
     rep.notes["h"] = h
 
@@ -235,6 +237,8 @@ def example2(n):
 S_A = np.array([[9.0, -9.0], [3.0, 5.0]])
 D_A = np.diag([3.0, 1.0])
 S_B = np.array([[0.0, -12.0], [0.0, 4.0]])
+# the size-free part of the eigenvalue symbol, over the cell angle alone
+_F1_CELL = LaurentSymbol({0: D_A, 1: -D_A / 2, -1: -D_A / 2})
 
 
 def _example3_blocks(N, n):
@@ -250,7 +254,7 @@ def _example3_blocks(N, n):
 
 
 def _example3_symbols():
-    f1 = LaurentSymbol({(0, 0): D_A, (0, 1): -D_A / 2, (0, -1): -D_A / 2})
+    f1 = LaurentSymbol({(0,) + k: m for k, m in _F1_CELL.coeffs.items()})
     f2 = LaurentSymbol({
         (0, 0): S_A / 6, (0, 1): S_A / 24, (0, -1): S_A / 24,
         (1, 0): S_B / 6, (1, 1): S_B / 24, (1, -1): S_B / 24,
@@ -297,13 +301,12 @@ def example3(N, n):
     # symmetrized 2x2 coefficient with the same trace and determinant as the
     # raw dof coupling, so the sampled eigenvalues are unchanged
     m27 = np.array([[9.0, 1j * math.sqrt(27.0)], [1j * math.sqrt(27.0), 5.0]])
-    f1_u = LaurentSymbol({0: D_A, 1: -D_A / 2, -1: -D_A / 2})
     pert_u = LaurentSymbol({0: m27 / 6, 1: m27 / 24, -1: m27 / 24})
     eig_mom = MomentarySymbol([
-        (CoefficientScaling.one(), f1_u),
+        (CoefficientScaling.one(), _F1_CELL),
         (CoefficientScaling.ratio_N_over_n2(), pert_u),
     ])
-    rep.flags["glt_symbol_is_size_free_part"] = eig_mom.glt_symbol() == f1_u
+    rep.flags["glt_symbol_is_size_free_part"] = eig_mom.glt_symbol() == _F1_CELL
 
     block = full[:2 * m, :2 * m]
     block_spec = eig_general_small(block)
@@ -313,7 +316,7 @@ def example3(N, n):
     mom_fixed = eig_mom.fixed_size((N, n))
     mom_vals = sample_spectrum_approx(mom_fixed, grid, m)
     mom_all = np.tile(np.asarray(mom_vals, dtype=complex), N)
-    glt_vals = sample_spectrum_approx(f1_u, grid, m)
+    glt_vals = sample_spectrum_approx(_F1_CELL, grid, m)
     glt_all = np.tile(np.asarray(glt_vals, dtype=complex), N)
 
     rep.reports["eig_momentary"] = compare(exact, mom_all, grid=grid,

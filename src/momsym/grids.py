@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParseError
 from .matrices import circulant, tau_matrix, toeplitz
+from .spectra import eig_general_small, eig_hermitian
 
 # (eps, phi) -> (a, b): grid theta_j = (j + a) pi / (n + b), denominator h = 1/(n+b)
 _TAU_PARAMS = {
@@ -36,14 +37,9 @@ def _check_pair(eps, phi):
     return key
 
 
-def tau_grid_params(eps, phi):
-    """(a, b) with grid angles (j + a) pi / (n + b); b also fixes h = 1/(n+b)."""
-    return _TAU_PARAMS[_check_pair(eps, phi)]
-
-
 def tau_eigen_grid(eps, phi, n):
     """Exact eigenvalue angles for tau_matrix(f, eps, phi, n), ascending, j=1..n."""
-    a, b = tau_grid_params(eps, phi)
+    a, b = _TAU_PARAMS[_check_pair(eps, phi)]
     n = int(n)
     if n < 1:
         raise ValueError("grid length must be positive")
@@ -119,28 +115,29 @@ def circulant_real_transform(n):
     return q
 
 
-class GridSpec:
-    """A named sampling grid; angles are generated for a length given later.
+# family -> (grid, builder) for the families without corner weights
+_FAMILIES = {"circulant": (circulant_grid, circulant),
+             "uniform-open": (uniform_open_grid, toeplitz)}
 
-    Families: "tau" (with corner weights eps, phi), "circulant",
-    "uniform-open", and "custom" (a fixed list of angles).
+
+class GridSpec:
+    """A matrix algebra: its exact grid, matrix builder and exact spectrum, for any order n.
+
+    Families: "tau" (with corner weights eps, phi; tau_matrix), "circulant"
+    (circulant) and "uniform-open" (the plain Toeplitz T_n(f)).
     """
 
-    def __init__(self, family, eps=None, phi=None, angles_list=None):
+    def __init__(self, family, eps=None, phi=None):
         family = str(family)
         if family == "tau":
-            _check_pair(eps, phi)
-            self.eps, self.phi = int(eps), int(phi)
-        elif family in ("circulant", "uniform-open"):
-            self.eps = self.phi = None
-        elif family == "custom":
-            if angles_list is None:
-                raise ValueError("custom grid needs an explicit angle list")
+            self.eps, self.phi = _check_pair(eps, phi)
+        elif family in _FAMILIES:
+            if (eps, phi) != (None, None):
+                raise ValueError(f"grid family {family!r} takes no corner weights")
             self.eps = self.phi = None
         else:
             raise ValueError(f"unknown grid family {family!r}")
         self.family = family
-        self._angles = None if angles_list is None else np.asarray(angles_list, dtype=float)
 
     @classmethod
     def tau(cls, eps, phi):
@@ -150,7 +147,7 @@ class GridSpec:
     def parse(cls, text):
         """Parse a CLI grid name: "tau:EPS,PHI", "circulant" or "uniform-open"."""
         text = str(text).strip()
-        if text in ("circulant", "uniform-open"):
+        if text in _FAMILIES:
             return cls(text)
         if text.startswith("tau:"):
             parts = text[4:].split(",")
@@ -174,30 +171,27 @@ class GridSpec:
     def angles(self, n):
         if self.family == "tau":
             return tau_eigen_grid(self.eps, self.phi, n)
-        if self.family == "circulant":
-            return circulant_grid(n)
-        if self.family == "uniform-open":
-            return uniform_open_grid(n)
-        if len(self._angles) != int(n):
-            raise ValueError(f"custom grid has {len(self._angles)} angles, asked for {n}")
-        return self._angles.copy()
+        return _FAMILIES[self.family][0](n)
 
     def matrix(self, f, n):
-        """The order-n matrix of f in this grid's algebra.
-
-        tau grids give tau_matrix(f, eps, phi, n), the circulant grid gives
-        circulant(f, n), and every other family the plain Toeplitz T_n(f).
-        """
+        """The order-n matrix of f in this grid's algebra."""
         if self.family == "tau":
             return tau_matrix(f, self.eps, self.phi, n)
-        if self.family == "circulant":
-            return circulant(f, n)
-        return toeplitz(f, n)
+        return _FAMILIES[self.family][1](f, n)
+
+    def exact_spectrum(self, f, n):
+        """Spectrum of matrix(f, n): Hermitian eigenvalues if it is Hermitian, else general ones."""
+        a = self.matrix(f, n)
+        try:
+            return eig_hermitian(a)
+        except ValueError:
+            return eig_general_small(a)
 
     def __eq__(self, other):
-        return (isinstance(other, GridSpec) and self.name() == other.name()
-                and (self._angles is None) == (other._angles is None)
-                and (self._angles is None or np.array_equal(self._angles, other._angles)))
+        return isinstance(other, GridSpec) and self.name() == other.name()
+
+    def __hash__(self):
+        return hash(self.name())
 
     def __repr__(self):
         return f"GridSpec({self.name()!r})"

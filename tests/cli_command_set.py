@@ -161,6 +161,8 @@ def _commands():
         ("wide_to_tau", ["build", "--kind", "tau", "--symbol", _IN + "wide.json", "--n", "5"]),
         ("grid_tau_2_0", ["grid", "--grid", "tau:2,0", "--n", "5"]),
         ("grid_unknown", ["grid", "--grid", "wobble", "--n", "5"]),
+        ("grid_custom", ["grid", "--grid", "custom", "--n", "5"]),
+        ("grid_two_sizes", ["grid", "--grid", "circulant", "--n", "4,5"]),
         ("biv_toeplitz", ["build", "--kind", "toeplitz", "--symbol", _IN + "biv.json",
                           "--n", "3"]),
         ("biv_circulant", ["build", "--kind", "circulant", "--symbol", _IN + "biv.json",
@@ -191,6 +193,9 @@ def _commands():
         ("example3_without_N", ["example", "3", "--n", "8"]),
         ("example3_bad_n", ["example", "3", "--N", "4", "--n", "x"]),
         ("example1_n1", ["example", "1", "--n", "1"]),
+        ("example2_two_sizes", ["example", "2", "--n", "5,9"]),
+        ("example3_two_N", ["example", "3", "--N", "4,6", "--n", "8"]),
+        ("compare_two_sizes", ["compare"] + _SCALED + ["--n", "4,5", "--grid", "tau:0,0"]),
         ("biv_compare", ["compare", "--symbol", _IN + "biv.json", "--n", "5",
                          "--grid", "tau:0,0"]),
         ("table_missing_size", ["compare", "--symbol", _IN + "f1.json", "--symbol",

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import momsym.cli as cli
 from momsym import (LaurentSymbol, NumericError, circulant, read_matrix_csv,
                     read_matrix_json, tau_eigen_grid, tau_matrix, toeplitz,
                     toeplitz_rect)
+from momsym._io import atomic_write_text
 
 
 def second_diff():
@@ -316,6 +318,44 @@ class TestExampleCommand:
         rc = cli.main(["example", "1", "--n", "7", "--out", str(tmp_path)])
         assert rc == 5
         assert "FAILED claim: bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    pytest.param(["grid", "--grid", "circulant", "--n", "4,5"], "--n", "4,5", id="grid"),
+    pytest.param(["compare", "--symbol", None, "--n", "4,5", "--grid", "tau:0,0"],
+                 "--n", "4,5", id="compare"),
+    pytest.param(["example", "2", "--n", "5,9"], "--n", "5,9", id="example2"),
+    pytest.param(["example", "3", "--N", "4,6", "--n", "8"], "--N", "4,6", id="example3"),
+])
+def test_single_size_flag_rejects_a_list(tmp_path, f1_path, capsys, argv, flag, text):
+    out = tmp_path / "out"
+    rc = cli.main([f1_path if a is None else a for a in argv] + ["--out", str(out)])
+    assert rc == 3
+    assert f"error (argument): {flag} takes one size, got '{text}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+class TestArtifactFiles:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            rc = cli.main(["grid", "--grid", "circulant", "--n", "4", "--out", str(tmp_path)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["grid_circulant_n4.csv"]
+        assert stat.S_IMODE((tmp_path / "grid_circulant_n4.csv").stat().st_mode) == mode
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(str(tmp_path / "a.txt"), "x\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(shutil.which("momsym") is None,

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from momsym import (GridSpec, LaurentSymbol, ParseError, circulant,
-                    circulant_grid, circulant_real_transform, fourier_matrix,
+                    circulant_grid, circulant_real_transform, eig_general_small,
+                    eig_hermitian, fourier_matrix,
                     grid_ordering_check, grid_ordering_detail, tau_eigen_grid,
                     tau_eigvec_matrix, tau_matrix, toeplitz,
                     uniform_open_grid)
@@ -162,17 +164,65 @@ class TestGridSpec:
           for e, p in ALL_PAIRS],
         (GridSpec("circulant"), circulant),
         (GridSpec("uniform-open"), toeplitz),
-        (GridSpec("custom", angles_list=[0.1] * 6), toeplitz),
     ]])
     def test_matrix_dispatch(self, spec, build):
         f = LaurentSymbol({0: 2.5, 1: -1.0, -1: -1.0})
         assert np.array_equal(spec.matrix(f, 6), build(f, 6))
 
-    def test_custom_angles(self):
-        spec = GridSpec("custom", angles_list=[0.1, 0.2])
-        assert np.allclose(spec.angles(2), [0.1, 0.2])
-        with pytest.raises(ValueError):
-            spec.angles(3)
+    def test_equal_specs_hash_alike(self):
+        assert len({GridSpec.tau(0, 1), GridSpec.parse("tau:0,1")}) == 1
+        assert len({GridSpec(family) for family in ("circulant", "uniform-open")}) == 2
+
+    def test_custom_family_is_gone(self):
+        with pytest.raises(ValueError, match="unknown grid family 'custom'"):
+            GridSpec("custom")
+
+    @pytest.mark.parametrize("family", ["circulant", "uniform-open"])
+    def test_only_tau_takes_corner_weights(self, family):
+        with pytest.raises(ValueError, match="takes no corner weights"):
+            GridSpec(family, 1, 0)
+
+
+def _reference_spectrum(spec, f, n):
+    """The exact spectrum by the try-Hermitian, else-general rule, built without GridSpec."""
+    if spec.family == "tau":
+        a = tau_matrix(f, spec.eps, spec.phi, n)
+    else:
+        a = {"circulant": circulant, "uniform-open": toeplitz}[spec.family](f, n)
+    try:
+        return eig_hermitian(a)
+    except ValueError:
+        return eig_general_small(a)
+
+
+_SPECTRUM_SYMBOLS = {
+    "f1": {0: 2.0, 1: -1.0, -1: -1.0},
+    "herm_c": {0: 2.0, 1: 1j, -1: -1j},
+    "ns4": {-1: -1.0, 0: 3.0, 1: 0.5, 2: 0.25},
+    "blk2": {0: [[2.0, 1.0], [1.0, 2.0]], 1: [[-1.0, 0.0], [0.5, -1.0]],
+             -1: [[-1.0, 0.5], [0.0, -1.0]]},
+}
+_ALL_GRIDS = [GridSpec.tau(e, p) for e, p in ALL_PAIRS] \
+    + [GridSpec("circulant"), GridSpec("uniform-open")]
+
+
+@pytest.mark.parametrize("spec, name, n", [
+    pytest.param(spec, name, n, id=f"{spec.name()}-{name}-{n}")
+    for spec in _ALL_GRIDS
+    for name in _SPECTRUM_SYMBOLS if name != "blk2" or spec.family == "uniform-open"
+    for n in ((2, 7, 32) if name == "blk2" else (2, 7, 64))])
+def test_exact_spectrum_matches_reference_bits(spec, name, n):
+    f = LaurentSymbol(_SPECTRUM_SYMBOLS[name])
+    try:
+        want = _reference_spectrum(spec, f, n)
+    except ValueError as exc:
+        # a symbol outside the algebra (ns4 on a tau grid) fails alike on both sides
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            spec.exact_spectrum(f, n)
+        return
+    got = spec.exact_spectrum(f, n)
+    assert got.kind == want.kind
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestOrdering:
