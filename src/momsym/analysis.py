@@ -87,7 +87,7 @@ def sample_spectrum_approx(sym, grid, size):
         raise ValueError("spectral sampling needs square-valued symbols")
 
     pts = _tensor_grid([g.angles(n) for g, n in zip(grids, sizes)])
-    vals = _eig_general_values(sym.sample(pts, sizes if len(sizes) > 1 else sizes[0]))
+    vals = _eig_general_values(sym.sample(pts, sizes))
     real = _real_part(vals)
     vals = vals if real is None else real
     return vals[_spectral_order(vals)]

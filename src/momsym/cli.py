@@ -5,10 +5,10 @@ from symbol JSON files, `spectrum` computes eigen- or singular values,
 `compare` measures symbol samplings against an exact spectrum, and
 `example` runs the four built-in scenarios.
 
-Exit codes: 0 success, 2 malformed input files, 3 shape or argument
-errors or a build too large for memory, 4 numeric failures, 5 a scenario
-claim flag failed.  All outputs are written atomically with deterministic
-formatting, so reruns with the same configuration are byte-identical.
+Exit codes: 0 success, 2 malformed input or an input or output path that
+cannot be opened, 3 shape or argument errors or a build too large for
+memory, 4 numeric failures, 5 a scenario claim flag failed.  Outputs are
+written atomically and deterministically, so reruns are byte-identical.
 """
 
 import argparse

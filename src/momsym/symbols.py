@@ -300,6 +300,9 @@ def fourier_coefficients(f_callable, k_range, quad_points_per_dim=None):
 
 
 _TAG_CODE = {"constant": 0, "decaying": -1, "diverging": 1}
+# the JSON keys each form takes besides "form"; no JSON key reaches _factors
+_FORM_KEYS = {"one": (), "inverse_power": ("p", "base"), "ratio_N_over_n2": (),
+              "table": ("values", "class_tag"), "product": ("factors",)}
 
 
 class CoefficientScaling:
@@ -308,7 +311,7 @@ class CoefficientScaling:
     Supported forms: the constant 1, inverse powers (1/n)^p or (1/(n+1))^p
     with integer p (negative p gives a diverging weight), the two-index ratio
     N/n^2, and explicit tables keyed by size.  Products of unlike forms are
-    kept as lazily evaluated tables, which serialise as their factors.
+    lazy tables serialising as their factors; equal JSON is equal scalings.
     """
 
     FORMS = ("one", "inverse_power", "ratio_N_over_n2", "table")
@@ -316,25 +319,37 @@ class CoefficientScaling:
     def __init__(self, form, p=None, base=None, values=None, class_tag=None, _factors=None):
         if form not in self.FORMS:
             raise ValueError(f"unknown scaling form {form!r}")
+        if form == "inverse_power" and (isinstance(p, bool) or not isinstance(p, (int, np.integer))):
+            raise ValueError(f"inverse_power p must be an integer, got {p!r}")
+        if class_tag is not None and class_tag not in _TAG_CODE:
+            raise ValueError(f"unknown class_tag {class_tag!r}")
         self.form = form
         self.p = None if p is None else int(p)
         self.base = base
-        self.values = dict(values) if values else {}
+        self.values = {}
         self._factors = tuple(_factors) if _factors else None
-        if form == "inverse_power":
+        # (summed inverse-power exponent, summed ratio and table tag codes)
+        if self._factors:
+            (pa, ca), (pb, cb) = (g._limit for g in self._factors)
+            self._limit = (pa + pb, ca + cb)
+        elif form == "inverse_power":
             if base not in ("n", "n+1"):
                 raise ValueError("inverse_power base must be 'n' or 'n+1'")
-            tag = "constant" if self.p == 0 else ("decaying" if self.p > 0 else "diverging")
-        elif form == "one":
-            tag = "constant"
-        elif form == "ratio_N_over_n2":
-            tag = "decaying"
+            self._limit = (self.p, 0)
+        elif form == "table":
+            if not isinstance(values, dict):
+                raise ValueError("table values must map sizes to numbers")
+            self.values = {_as_key(k): float(v) for k, v in values.items()}
+            if not np.all(np.isfinite(list(self.values.values()))):
+                raise ValueError("table values must be finite")
+            self._limit = (0, _TAG_CODE[class_tag or "decaying"])
         else:
-            tag = class_tag or "decaying"
-        if class_tag is not None and class_tag != tag and form != "table":
+            self._limit = (0, -1 if form == "ratio_N_over_n2" else 0)
+        exponent, code = self._limit
+        code += (exponent < 0) - (exponent > 0)
+        tag = "constant" if code == 0 else ("decaying" if code < 0 else "diverging")
+        if class_tag is not None and class_tag != tag:
             raise ValueError(f"class_tag {class_tag!r} inconsistent with form")
-        if tag not in _TAG_CODE:
-            raise ValueError(f"unknown class_tag {tag!r}")
         self.class_tag = tag
 
     @classmethod
@@ -351,8 +366,7 @@ class CoefficientScaling:
 
     @classmethod
     def table(cls, values, class_tag="decaying"):
-        vals = {_as_key(k): float(v) for k, v in values.items()}
-        return cls("table", values=vals, class_tag=class_tag)
+        return cls("table", values=values, class_tag=class_tag)
 
     def __call__(self, size):
         size = _as_key(size)
@@ -369,32 +383,22 @@ class CoefficientScaling:
                 raise ValueError("ratio_N_over_n2 scaling needs a 2-index size (N, n)")
             N, n = size
             return N / float(n) ** 2
-        if size in self.values:
-            return self.values[size]
-        if self._factors is not None:
-            val = 1.0
-            for g in self._factors:
-                val *= g(size)
-            self.values[size] = val
-            return val
-        raise ValueError(f"size {size} not present in scaling table")
+        if self._factors:
+            return self._factors[0](size) * self._factors[1](size)
+        if size not in self.values:
+            raise ValueError(f"size {size} not present in scaling table")
+        return self.values[size]
 
-    def _key(self):
-        if self.form == "inverse_power":
-            return ("inverse_power", self.p, self.base)
-        if self.form == "table":
-            if self._factors is not None:
-                return ("product",) + tuple(g._key() for g in self._factors)
-            return ("table", tuple(sorted(self.values.items())))
-        return (self.form,)
+    def _json_text(self):
+        return json.dumps(self.to_json(), sort_keys=True)
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientScaling):
             return NotImplemented
-        return self._key() == other._key()
+        return self._json_text() == other._json_text()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._json_text())
 
     def multiply(self, other):
         """The pointwise product scaling g(n) = self(n) * other(n)."""
@@ -405,9 +409,7 @@ class CoefficientScaling:
         if (self.form == other.form == "inverse_power") and self.base == other.base:
             p = self.p + other.p
             return CoefficientScaling.one() if p == 0 else CoefficientScaling.inverse_power(p, self.base)
-        code = _TAG_CODE[self.class_tag] + _TAG_CODE[other.class_tag]
-        tag = "constant" if code == 0 else ("decaying" if code < 0 else "diverging")
-        return CoefficientScaling("table", class_tag=tag, _factors=(self, other))
+        return CoefficientScaling("table", _factors=(self, other))
 
     def to_json(self):
         if self.form == "inverse_power":
@@ -422,22 +424,23 @@ class CoefficientScaling:
     @classmethod
     def from_json(cls, obj):
         try:
-            form = obj["form"]
-            if form == "one":
-                return cls.one()
-            if form == "inverse_power":
-                return cls.inverse_power(int(obj["p"]), obj["base"])
-            if form == "ratio_N_over_n2":
-                return cls.ratio_N_over_n2()
-            if form == "table":
-                values = {tuple(int(v) for v in k.split(",")): float(x)
-                          for k, x in obj["values"].items()}
-                return cls.table(values, class_tag=obj.get("class_tag", "decaying"))
+            args = {**obj}
+            form = args.pop("form")
+            extra = sorted(set(args) - set(_FORM_KEYS.get(form, ())))
+            if extra:
+                raise ValueError(f"form {form!r} takes no key {', '.join(map(repr, extra))}")
             if form == "product":
-                return reduce(cls.multiply, [cls.from_json(g) for g in obj["factors"]])
-        except (KeyError, TypeError, ValueError) as exc:
+                factors = [cls.from_json(g) for g in args["factors"]]
+                if not factors:
+                    raise ValueError("a product needs at least one factor")
+                return reduce(cls.multiply, factors)
+            if isinstance(args.get("values"), dict):
+                args["values"] = {tuple(map(int, k.split(","))): x for k, x in args["values"].items()}
+            return cls(form, **args)
+        except ParseError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad scaling JSON: {exc}") from exc
-        raise ParseError(f"unknown scaling form {form!r}")
 
 
 class MomentarySymbol:
@@ -490,14 +493,10 @@ class MomentarySymbol:
         return total
 
     def _merged(self, pairs):
-        order, bucket = [], {}
+        bucket = {}
         for g, f in pairs:
-            if g in bucket:
-                bucket[g] = bucket[g] + f
-            else:
-                bucket[g] = f
-                order.append(g)
-        return MomentarySymbol([(g, bucket[g]) for g in order])
+            bucket[g] = bucket[g] + f if g in bucket else f
+        return MomentarySymbol(list(bucket.items()))
 
     def __add__(self, other):
         if isinstance(other, LaurentSymbol):

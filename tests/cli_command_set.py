@@ -1,14 +1,17 @@
 """A fixed set of CLI commands whose outputs are compared across versions.
 
-Usage:  PYTHONPATH=<checkout>/src python3 tests/cli_command_set.py OUT
+Usage:  PYTHONPATH=<checkout>/src python3 tests/cli_command_set.py OUT > MANIFEST
 
 Writes the input symbols and matrix files to OUT/inputs, then runs every
 command in-process with `--out .` from its own directory OUT/<name>.  Each
 directory receives the command's artifacts plus `_argv.txt`, `_stdout.txt`,
-`_stderr.txt` and `_exit.txt`.  Run it once per checkout and compare the two
-trees with `diff -r`: every path in the tree is relative, so identical
-behaviour gives identical bytes.  No digests are pinned, because the
-numbers depend on the BLAS build and the CPU.
+`_stderr.txt` and `_exit.txt`.  Every path in the tree is relative, so
+identical behaviour gives identical bytes: compare two checkouts' trees with
+`diff -r`.  The script prints the tree's manifest, one sha256 per file in
+`sha256sum` format under a header naming the numpy and BLAS build, because
+the numbers depend on that build (and on the CPU).  The committed
+`tests/cli_command_set.sha256` is this output; a change that alters an
+artifact on purpose regenerates it.
 
 The set covers `grid`, `build`, `spectrum`, `compare` and `example 1-4`,
 including malformed input (exit 2), bad arguments (exit 3) and oversized
@@ -16,11 +19,14 @@ builds (exit 3).
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import sys
 import warnings
+
+import numpy as np
 
 from momsym import LaurentSymbol, tau_matrix, write_matrix_csv, write_matrix_json
 from momsym.cli import main
@@ -53,6 +59,18 @@ _RAW = {
     "inf.json": '{"rows":1,"cols":1,"data":[[Infinity,0.0]]}',
     "table_missing.json": '{"form": "table", "class_tag": "decaying", "values": {"5": 1.0}}',
 }
+
+# each rejected with exit 2 and "bad scaling JSON: ..."
+BAD_SCALINGS = [
+    ("values_list", '{"form":"table","values":[1,2]}'),
+    ("p_float", '{"form":"inverse_power","p":1.5,"base":"n"}'),
+    ("p_bool", '{"form":"inverse_power","p":true,"base":"n"}'),
+    ("p_string", '{"form":"inverse_power","p":"2","base":"n"}'),
+    ("nan_value", '{"form":"table","values":{"7":NaN}}'),
+    ("inf_value", '{"form":"table","values":{"7":Infinity}}'),
+    ("empty_product", '{"form":"product","factors":[]}'),
+    ("extra_key", '{"form":"inverse_power","p":2,"base":"n","class_tag":"constant"}'),
+]
 
 _IN = "../inputs/"
 _SCALED = ["--symbol", _IN + "f1.json", "--scaling", '{"form":"one"}',
@@ -213,6 +231,9 @@ def _commands():
     for grid in ("tau:0,0", "circulant", "uniform-open"):
         bad.append((f"blk2_compare_{grid.replace(':', '_').replace(',', '_')}",
                     ["compare", "--symbol", _IN + "blk2.json", "--n", "5", "--grid", grid]))
+    for name, text in BAD_SCALINGS:
+        bad.append((f"scaling_{name}", ["compare", "--symbol", _IN + "f1.json", "--scaling", text,
+                                        "--n", "7", "--grid", "tau:0,0"]))
     return cmds + [("bad_" + name, argv) for name, argv in bad]
 
 
@@ -274,8 +295,32 @@ def run(out_dir):
     return codes
 
 
+def header():
+    """The manifest's header lines: the numpy and BLAS build the digests hold for."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 has no dict form
+        blas = {}
+    return ["# sha256 of every file that tests/cli_command_set.py writes",
+            f"# numpy {np.__version__}",
+            f"# blas {blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})"]
+
+
+def digests(out_dir):
+    """{relative path: sha256 hex digest} of every file under out_dir."""
+    found = {}
+    for dirpath, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, out_dir)] = hashlib.sha256(fh.read()).hexdigest()
+    return found
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
-        sys.exit("usage: python3 tests/cli_command_set.py OUT")
-    for name, code in run(sys.argv[1]).items():
-        print(f"{code} {name}")
+        sys.exit("usage: python3 tests/cli_command_set.py OUT > MANIFEST")
+    run(sys.argv[1])
+    print("\n".join(header()))
+    for path, digest in sorted(digests(sys.argv[1]).items()):
+        print(f"{digest}  {path}")

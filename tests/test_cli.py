@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import cli_command_set
 import momsym
 import momsym.cli as cli
 from momsym import (LaurentSymbol, NumericError, circulant, read_matrix_csv,
@@ -270,6 +271,22 @@ class TestCompareCommand:
                        "--scaling", '{"form":"one"}', "--scaling", '{"form":"one"}',
                        "--n", "4", "--grid", "tau:0,0", "--out", str(tmp_path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("name, text", cli_command_set.BAD_SCALINGS,
+                             ids=[name for name, _ in cli_command_set.BAD_SCALINGS])
+    def test_bad_scaling_is_parse_error(self, tmp_path, f1_path, capsys, name, text):
+        message = {"values_list": "table values must map sizes to numbers",
+                   "p_float": "inverse_power p must be an integer, got 1.5",
+                   "p_bool": "inverse_power p must be an integer, got True",
+                   "p_string": "inverse_power p must be an integer, got '2'",
+                   "nan_value": "table values must be finite",
+                   "inf_value": "table values must be finite",
+                   "empty_product": "a product needs at least one factor",
+                   "extra_key": "form 'inverse_power' takes no key 'class_tag'"}[name]
+        rc = cli.main(["compare", "--symbol", f1_path, "--scaling", text, "--n", "7",
+                       "--grid", "tau:0,0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error (parse): bad scaling JSON: {message}\n"
 
 
 class TestExampleCommand:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momsym import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                     NumericError, ParseError, block_reinterpret,
@@ -303,6 +305,102 @@ class TestScalingAlgebra:
     def test_parse_scaling_bad_json(self):
         with pytest.raises(ParseError):
             parse_scaling('{"form":"wobble"}')
+
+    def test_tag_is_part_of_identity(self):
+        const = CoefficientScaling.table({4: 2.0}, "constant")
+        decaying = CoefficientScaling.table({4: 2.0}, "decaying")
+        assert const != decaying
+        total = (MomentarySymbol([(const, LaurentSymbol({0: 1.0}))])
+                 + MomentarySymbol([(decaying, LaurentSymbol({0: 5.0}))]))
+        assert len(total.terms) == 2
+        assert total.glt_symbol() == LaurentSymbol({0: 1.0})
+
+    @pytest.mark.parametrize("g, tag", [
+        (CoefficientScaling.inverse_power(-2, "n").multiply(
+            CoefficientScaling.inverse_power(1, "n+1")), "diverging"),
+        (CoefficientScaling.inverse_power(-1, "n+1").multiply(
+            CoefficientScaling.inverse_power(1, "n")), "constant"),
+        (CoefficientScaling.inverse_power(1, "n").multiply(
+            CoefficientScaling.table({4: 4.0}, "diverging")), "constant"),
+        (CoefficientScaling.table({4: 4.0}, "diverging").multiply(
+            CoefficientScaling.table({4: 4.0}, "diverging")).multiply(
+            CoefficientScaling.table({4: 0.25})), "diverging"),
+        (CoefficientScaling.table({4: 4.0}, "diverging").multiply(
+            CoefficientScaling.inverse_power(1, "n+1")).multiply(
+            CoefficientScaling.inverse_power(1, "n")), "constant"),
+    ], ids=["n2_over_n1", "n1_over_n", "n_inverse_times_diverging",
+            "diverging_table_kept_in_nested_product", "factor_order_does_not_matter"])
+    def test_product_tag(self, g, tag):
+        assert g.class_tag == tag
+
+    @pytest.mark.parametrize("a, b, equal", [
+        (CoefficientScaling.table({4: 2.0}), CoefficientScaling.table({(4,): 2}), True),
+        # -0.0 and 0.0 write different JSON, so these tables differ (a dict compare would not)
+        (CoefficientScaling.table({4: -0.0}), CoefficientScaling.table({4: 0.0}), False),
+        (CoefficientScaling.inverse_power(1, "n").multiply(CoefficientScaling.ratio_N_over_n2()),
+         CoefficientScaling.inverse_power(1, "n").multiply(CoefficientScaling.ratio_N_over_n2()),
+         True),
+    ], ids=["int_key_and_value", "signed_zero", "product"])
+    def test_equal_scalings_hash_alike(self, a, b, equal):
+        assert (a == b) is equal
+        assert a != b or hash(a) == hash(b)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CoefficientScaling.table([1, 2]),
+        lambda: CoefficientScaling.table({4: float("nan")}),
+        lambda: CoefficientScaling.table({4: float("inf")}, "diverging"),
+        lambda: CoefficientScaling.table({4: 1.0}, "wobble"),
+        lambda: CoefficientScaling.inverse_power(1.5),
+        lambda: CoefficientScaling.inverse_power(True),
+        lambda: CoefficientScaling.inverse_power("2"),
+        lambda: CoefficientScaling("one", class_tag="decaying"),
+    ], ids=["values_list", "nan", "inf", "tag", "p_float", "p_bool", "p_string",
+            "tag_of_one"])
+    def test_constructor_rejects(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("obj", [
+        {"form": "product", "factors": [{"form": "one"}], "_factors": []},
+        {"form": "table", "values": {"4": 1.0}, "_factors": [{"form": "one"}]},
+    ], ids=["product", "table"])
+    def test_json_cannot_set_factors(self, obj):
+        with pytest.raises(ParseError, match="takes no key '_factors'"):
+            CoefficientScaling.from_json(obj)
+
+
+# nested pairwise products of inverse powers, as (p, base) leaves and [a, b] pairs
+_power_trees = st.recursive(
+    st.tuples(st.integers(-3, 3), st.sampled_from(["n", "n+1"])),
+    lambda children: st.lists(children, min_size=2, max_size=2), max_leaves=8)
+
+
+def _build(tree):
+    if isinstance(tree, list):
+        return _build(tree[0]).multiply(_build(tree[1]))
+    return CoefficientScaling.inverse_power(*tree)
+
+
+def _exponents(tree):
+    """Summed exponent per base, {"n": .., "n+1": ..}."""
+    if isinstance(tree, list):
+        a, b = (_exponents(t) for t in tree)
+        return {base: a[base] + b[base] for base in a}
+    p, base = tree
+    return {"n": 0, "n+1": 0, base: p}
+
+
+@settings(deadline=None)
+@given(_power_trees, st.integers(1, 60))
+def test_inverse_power_products(tree, n):
+    g = _build(tree)
+    sums = _exponents(tree)
+    total = sums["n"] + sums["n+1"]
+    assert g.class_tag == {-1: "diverging", 0: "constant", 1: "decaying"}[int(np.sign(total))]
+    back = CoefficientScaling.from_json(json.loads(json.dumps(g.to_json())))
+    assert back == g and hash(back) == hash(g)
+    want = float(n) ** -sums["n"] * float(n + 1) ** -sums["n+1"]
+    assert g(n) == pytest.approx(want, rel=1e-12)
 
 
 class TestSymmetrize:
