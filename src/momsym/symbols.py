@@ -369,7 +369,14 @@ class CoefficientScaling:
         return cls("table", values=values, class_tag=class_tag)
 
     def __call__(self, size):
-        size = _as_key(size)
+        try:
+            if np.isfinite(value := self._value(_as_key(size))):
+                return value
+        except OverflowError:  # a float power past the float range
+            pass
+        raise NumericError(f"scaling {self._json_text()} is not finite at size {size}")
+
+    def _value(self, size):
         if self.form == "one":
             return 1.0
         if self.form == "inverse_power":

@@ -14,8 +14,8 @@ the numbers depend on that build (and on the CPU).  The committed
 artifact on purpose regenerates it.
 
 The set covers `grid`, `build`, `spectrum`, `compare` and `example 1-4`,
-including malformed input (exit 2), bad arguments (exit 3) and oversized
-builds (exit 3).
+including malformed input (exit 2), bad arguments (exit 3), oversized
+builds (exit 3) and scalings that overflow (exit 4).
 """
 
 import contextlib
@@ -46,6 +46,9 @@ _SYMBOLS = {
     "blk2": {0: [[2.0, 1.0], [1.0, 2.0]], 1: [[-1.0, 0.0], [0.5, -1.0]],
              -1: [[-1.0, 0.5], [0.0, -1.0]]},
     "rect23": {0: [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
+    # at n = 4 the pairs (-3, 1), (-2, 2) and (-1, 3) share a residue mod n
+    "wrap7": {-3: 0.5 - 0.25j, -2: -1.5, -1: 0.75j, 0: 2.0 + 1.0j, 1: -1.25 + 0.5j,
+              2: 0.375, 3: -0.625 - 1.0j},
 }
 
 # raw JSON text for inputs that LaurentSymbol refuses to build
@@ -60,6 +63,15 @@ _RAW = {
     "table_missing.json": '{"form": "table", "class_tag": "decaying", "values": {"5": 1.0}}',
 }
 
+# matrix JSON whose rows/cols header is not a pair of positive integers; exit 2
+BAD_MATRIX_HEADERS = [
+    ("negative", '{"rows":-1,"cols":-1,"data":[[1.0,0.0]]}'),
+    ("empty", '{"rows":0,"cols":0,"data":[]}'),
+    ("float", '{"rows":2.5,"cols":1,"data":[[1.0,0.0],[2.0,0.0]]}'),
+    ("bool", '{"rows":true,"cols":true,"data":[[1.0,0.0]]}'),
+]
+_RAW.update({f"header_{name}.json": text for name, text in BAD_MATRIX_HEADERS})
+
 # each rejected with exit 2 and "bad scaling JSON: ..."
 BAD_SCALINGS = [
     ("values_list", '{"form":"table","values":[1,2]}'),
@@ -70,6 +82,13 @@ BAD_SCALINGS = [
     ("inf_value", '{"form":"table","values":{"7":Infinity}}'),
     ("empty_product", '{"form":"product","factors":[]}'),
     ("extra_key", '{"form":"inverse_power","p":2,"base":"n","class_tag":"constant"}'),
+]
+
+# valid scalings whose value at n = 7 overflows the float range; exit 4
+OVERFLOW_SCALINGS = [
+    ("power", '{"form":"inverse_power","p":-400,"base":"n"}'),
+    ("product", '{"form":"product","factors":[{"form":"inverse_power","p":-200,"base":"n"},'
+                '{"form":"inverse_power","p":-200,"base":"n+1"}]}'),
 ]
 
 _IN = "../inputs/"
@@ -98,7 +117,9 @@ def _commands():
               ("rect_tall", ["--kind", "toeplitz-rect", "--symbol", _IN + "f1.json",
                              "--n", "6", "--m", "4"]),
               ("blk2_toeplitz", ["--kind", "toeplitz", "--symbol", _IN + "blk2.json",
-                                 "--n", "3"])]
+                                 "--n", "3"]),
+              ("circulant_wrap7", ["--kind", "circulant", "--symbol", _IN + "wrap7.json",
+                                   "--n", "4"])]
     for name, args in builds:
         for fmt in ("csv", "json"):
             cmds.append((f"build_{name}_{fmt}", ["build"] + args + ["--format", fmt]))
@@ -128,6 +149,9 @@ def _commands():
                                      "--kind", "general"]),
         ("spectrum_blk2_general", ["spectrum", "--symbol", _IN + "blk2.json", "--n", "4",
                                    "--kind", "general"]),
+        ("spectrum_wrap7_circulant", ["spectrum", "--symbol", _IN + "wrap7.json",
+                                      "--build-kind", "circulant", "--n", "4",
+                                      "--kind", "general"]),
         ("spectrum_readback_csv", ["spectrum", "--matrix", _IN + "tau.csv"]),
         ("spectrum_readback_json", ["spectrum", "--matrix", _IN + "tau.json",
                                     "--kind", "singular"]),
@@ -234,6 +258,13 @@ def _commands():
     for name, text in BAD_SCALINGS:
         bad.append((f"scaling_{name}", ["compare", "--symbol", _IN + "f1.json", "--scaling", text,
                                         "--n", "7", "--grid", "tau:0,0"]))
+    for name, text in OVERFLOW_SCALINGS:
+        bad.append((f"scaling_overflow_{name}", ["compare", "--symbol", _IN + "f1.json",
+                                                 "--scaling", text, "--n", "7",
+                                                 "--grid", "tau:0,0"]))
+    for name, _ in BAD_MATRIX_HEADERS:
+        bad.append((f"matrix_header_{name}", ["spectrum", "--matrix",
+                                              _IN + f"header_{name}.json"]))
     return cmds + [("bad_" + name, argv) for name, argv in bad]
 
 

@@ -188,6 +188,16 @@ class TestSpectrumCommand:
         assert "error (parse): bad symbol JSON" in capsys.readouterr().err
         assert not (tmp_path / "toeplitz_n3.csv").exists()
 
+    @pytest.mark.parametrize("name, text", cli_command_set.BAD_MATRIX_HEADERS,
+                             ids=[name for name, _ in cli_command_set.BAD_MATRIX_HEADERS])
+    def test_bad_matrix_json_header_is_parse_error(self, tmp_path, capsys, name, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = cli.main(["spectrum", "--matrix", str(bad), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "rows and cols must be positive integers" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum_hermitian.csv").exists()
+
     def test_numeric_failure_maps_to_exit_4(self, tmp_path, f1_path, monkeypatch, capsys):
         def boom(a):
             raise NumericError("did not converge")
@@ -287,6 +297,18 @@ class TestCompareCommand:
                        "--grid", "tau:0,0", "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"error (parse): bad scaling JSON: {message}\n"
+
+    @pytest.mark.parametrize("name, text", cli_command_set.OVERFLOW_SCALINGS,
+                             ids=[name for name, _ in cli_command_set.OVERFLOW_SCALINGS])
+    def test_overflowing_scaling_is_numeric_error(self, tmp_path, f1_path, capsys, recwarn,
+                                                  name, text):
+        rc = cli.main(["compare", "--symbol", f1_path, "--scaling", text, "--n", "7",
+                       "--grid", "tau:0,0", "--out", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error (numeric): scaling ") and err.count("\n") == 1
+        assert "is not finite at size 7" in err
+        assert not recwarn.list
 
 
 class TestExampleCommand:

@@ -1,5 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momsym.matrices as matrices
 from momsym import (LaurentSymbol, ParseError, circulant, circulant_grid,
@@ -253,6 +257,85 @@ def test_wrapper_rejections_come_from_the_kernel(call):
     # grid functions; the builders and transforms on top of them still refuse
     with pytest.raises(ValueError):
         call()
+
+
+_floats = st.floats(-4, 4, allow_subnormal=False)
+# real, complex, integer and purely imaginary coefficient entries
+_entries = st.one_of(_floats, st.builds(complex, _floats, _floats), st.integers(-3, 3),
+                     st.builds(lambda y: 1j * y, _floats))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(symbol, n_vec, m_vec): d in {1, 2}, s, r in {1, 2}, sizes 1..6, support -7..7."""
+    d, s, r = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    keys = draw(st.lists(st.tuples(*[st.integers(-7, 7)] * d), max_size=6, unique=True))
+    coeffs = {k: np.array(draw(st.lists(_entries, min_size=s * r, max_size=s * r)),
+                          dtype=complex).reshape(s, r) for k in keys}
+    sizes = st.tuples(*[st.integers(1, 6)] * d)
+    return LaurentSymbol(coeffs, d=d, s=s, r=r), draw(sizes), draw(sizes)
+
+
+@st.composite
+def circulant_cases(draw):
+    """(symbol, n) with support in -(n-1)..(n-1), some residue pairs cancelling."""
+    n = draw(st.integers(1, 8))
+    coeffs = draw(st.dictionaries(st.integers(-(n - 1), n - 1), _entries, max_size=2 * n - 1))
+    pairs = draw(st.lists(st.integers(1, n - 1), max_size=3)) if n > 1 else []
+    for k in pairs:
+        coeffs[k - n] = -coeffs.setdefault(k, 1.5 - 0.5j)
+    return LaurentSymbol(coeffs, d=1, s=1, r=1), n
+
+
+class TestDiagonalFill:
+    """Every builder matches, byte for byte, the construction it replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(kernel_cases())
+    def test_kernel_matches_kron_sum(self, case):
+        f, n_vec, m_vec = case
+        want = np.zeros((f.s * int(np.prod(n_vec)), f.r * int(np.prod(m_vec))), dtype=complex)
+        for k, coeff in f.coeffs.items():
+            want += np.kron(reduce(np.kron, [np.eye(ni, mi, k=-ki)
+                                             for ki, ni, mi in zip(k, n_vec, m_vec)]), coeff)
+        assert multilevel_toeplitz_rect(f, n_vec, m_vec).tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(circulant_cases())
+    def test_circulant_matches_modular_loop(self, case):
+        f, n = case
+        want, i = np.zeros((n, n), dtype=complex), np.arange(n)
+        for (k,), m in f.coeffs.items():
+            want[i, (i - k) % n] += complex(m[0, 0])
+        assert circulant(f, n).tobytes() == want.tobytes()
+
+    def test_cancelling_residue_pair_leaves_positive_zero(self):
+        f = LaurentSymbol({1: 0.5 - 2.0j, -3: -0.5 + 2.0j, 0: -1.0})
+        assert circulant(f, 4).tobytes() == np.diag(np.full(4, -1.0 + 0.0j)).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_shift_matches_fill(self, n):
+        want, i = np.zeros((n, n), dtype=complex), np.arange(n)
+        want[i, (i - 1) % n] = 1
+        assert shift_matrix(n).tobytes() == want.tobytes()
+
+    def test_identity_rect_matches_eye(self):
+        for n in range(1, 9):
+            for m in range(1, 9):
+                assert identity_rect(n, m).tobytes() == np.eye(n, m, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("build, rows, cols", [
+        (lambda: toeplitz(second_diff(), 5), 5, 5),
+        (lambda: circulant(second_diff(), 5), 5, 5),
+        (lambda: identity_rect(3, 4), 3, 4),
+    ], ids=["toeplitz", "circulant", "identity_rect"])
+    def test_memory_guard_boundary(self, monkeypatch, build, rows, cols):
+        # 48 bytes per entry is the budget: exactly that builds, one byte less is refused
+        monkeypatch.setattr(matrices, "_physical_memory", lambda: 48 * rows * cols)
+        assert build().shape == (rows, cols)
+        monkeypatch.setattr(matrices, "_physical_memory", lambda: 48 * rows * cols - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            build()
 
 
 class TestKron:

@@ -255,6 +255,17 @@ class TestScalingAlgebra:
         assert prod.form == "table"
         assert prod(8) == pytest.approx(0.125 / 8)
 
+    @pytest.mark.parametrize("g", [
+        CoefficientScaling.inverse_power(-400, "n"),
+        CoefficientScaling.inverse_power(-200, "n").multiply(
+            CoefficientScaling.inverse_power(-200, "n+1")),
+    ], ids=["power", "product"])
+    def test_overflow_is_numeric_error(self, g):
+        # 7^400 raises OverflowError and 7^200 * 8^200 is inf; both are refused alike
+        with pytest.raises(NumericError, match="not finite at size 7"):
+            g(7)
+        assert math.isfinite(g(1))  # the same scaling stays finite at a small size
+
     def test_ratio_form(self):
         g = CoefficientScaling.ratio_N_over_n2()
         assert g((3, 4)) == pytest.approx(3 / 16)
