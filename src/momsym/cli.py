@@ -86,12 +86,14 @@ def cmd_grid(args):
 
 
 def _build_matrix(kind, sym, sizes, eps, phi, m_sizes=None):
-    if kind == "multilevel":
-        return multilevel_toeplitz(sym, sizes)
     if kind == "toeplitz-rect":
         if m_sizes is None or len(sizes) != 1 or len(m_sizes) != 1:
             raise ValueError("toeplitz-rect needs --n and --m, one size each")
         return toeplitz_rect(sym, sizes[0], m_sizes[0])
+    if m_sizes is not None:
+        raise ValueError(f"--m applies only to toeplitz-rect, not {kind}")
+    if kind == "multilevel":
+        return multilevel_toeplitz(sym, sizes)
     single = {"toeplitz": toeplitz, "circulant": circulant,
               "tau": lambda f, n: tau_matrix(f, eps, phi, n)}
     if len(sizes) != 1:
@@ -129,6 +131,8 @@ def cmd_spectrum(args):
         a = _load_matrix(args.matrix)
     elif args.symbol:
         sym = load_symbol(args.symbol)
+        if args.n is None:
+            raise ValueError("--symbol needs --n")
         sizes = _parse_sizes(args.n)
         m_sizes = _parse_sizes(args.m) if args.m else None
         a = _build_matrix(args.build_kind, sym, sizes, args.eps, args.phi, m_sizes)

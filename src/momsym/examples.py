@@ -98,7 +98,9 @@ def _const_symbol(value=1.0):
 def _shifted_second_difference(grid, n):
     """grid's matrix of 2 - 2cos(theta), plus h^2 I with h = 1/(n+1)."""
     h = 1.0 / (n + 1)
-    return grid.matrix(second_difference_symbol(), n) + h * h * np.eye(n)
+    a = grid.matrix(second_difference_symbol(), n)
+    a.flat[::n + 1] += h * h
+    return a
 
 
 def h2xn_dirichlet_neumann(n):
@@ -157,6 +159,14 @@ def example1(n, bc="dirichlet_neumann"):
         rep.notes["glt_mismatched_max_error_over_h"] = \
             rep.reports["glt_mismatched"].max_error / h
     return rep
+
+
+def _bracketed(values, f, lower_grid, upper_grid, n):
+    """Whether scalar f on lower_grid and on upper_grid brackets values, to 1e-12 relative."""
+    lower = f.sample(lower_grid.angles(n))[:, 0, 0].real
+    upper = f.sample(upper_grid.angles(n))[:, 0, 0].real
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    return bool(np.all(values >= lower - tol) and np.all(values <= upper + tol))
 
 
 def example2(n):
@@ -221,12 +231,8 @@ def example2(n):
         top > 9.0 and top <= g_fixed_max
     rep.notes["glt_symbol_grid_max"] = glt_gram_max
 
-    lam_desc = gram_eigs.values[::-1]
-    lower = g_fixed.sample(GridSpec.tau(0, -1).angles(n))[:, 0, 0].real
-    upper = g_fixed.sample(GridSpec.tau(0, 0).angles(n))[:, 0, 0].real
-    tol = 1e-12 * max(1.0, top)
-    rep.flags["gram_eigenvalues_bracketed_by_neighbor_grids"] = bool(
-        np.all(lam_desc >= lower - tol) and np.all(lam_desc <= upper + tol))
+    rep.flags["gram_eigenvalues_bracketed_by_neighbor_grids"] = _bracketed(
+        gram_eigs.values[::-1], g_fixed, GridSpec.tau(0, -1), GridSpec.tau(0, 0), n)
 
     rep.reports["gram_momentary"], rep.reports["gram_glt"] = _reports(
         gram_eigs, grid, n, momentary=g_fixed, glt=g_mom.glt_symbol())
@@ -283,12 +289,7 @@ def example3(N, n):
     rep.notes["order"] = full.shape[0]
 
     # (step t, dof p, cell x) with x fastest -> (t, x, p) with p fastest
-    t_idx, p_idx, x_idx = np.meshgrid(
-        np.arange(N), np.arange(2), np.arange(m), indexing="ij")
-    old = (t_idx * 2 * m + p_idx * m + x_idx).ravel()
-    new = (t_idx * 2 * m + x_idx * 2 + p_idx).ravel()
-    perm = np.empty(2 * N * m, dtype=int)
-    perm[new] = old
+    perm = np.arange(2 * N * m).reshape(N, 2, m).transpose(0, 2, 1).ravel()
     reordered = full[np.ix_(perm, perm)]
 
     f1, f2 = _example3_symbols()
@@ -391,11 +392,8 @@ def example4(n):
     rep.notes["tau_residual"] = residual
 
     y_eigs = eig_hermitian(y)
-    lower = y_fixed.sample(GridSpec.tau(0, 1).angles(m))[:, 0, 0].real
-    upper = y_fixed.sample(GridSpec.tau(0, 0).angles(m))[:, 0, 0].real
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(y_eigs.values))))
-    rep.flags["coarse_eigenvalues_bracketed_by_neighbor_grids"] = bool(
-        np.all(y_eigs.values >= lower - tol) and np.all(y_eigs.values <= upper + tol))
+    rep.flags["coarse_eigenvalues_bracketed_by_neighbor_grids"] = _bracketed(
+        y_eigs.values, y_fixed, GridSpec.tau(0, 1), GridSpec.tau(0, 0), m)
 
     rep.reports["coarse_momentary"], rep.reports["coarse_glt"] = _reports(
         y_eigs, GridSpec.tau(0, 0), m, momentary=y_fixed, glt=y_mom.glt_symbol())

@@ -31,10 +31,10 @@ _TAU_PARAMS = {
 
 
 def _check_pair(eps, phi):
-    key = (int(eps), int(phi))
-    if key != (eps, phi) or key not in _TAU_PARAMS:
-        raise ValueError(f"unsupported corner pair ({eps}, {phi}); both must be -1, 0 or 1")
-    return key
+    for key in _TAU_PARAMS:
+        if key == (eps, phi):
+            return key
+    raise ValueError(f"unsupported corner pair ({eps}, {phi}); both must be -1, 0 or 1")
 
 
 def tau_eigen_grid(eps, phi, n):

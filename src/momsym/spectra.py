@@ -19,7 +19,7 @@ import numpy as np
 
 from ._io import atomic_write_text, fmt_real
 from .errors import NumericError
-from .symbols import _quad_points_env, _tensor_grid
+from .symbols import _tensor_grid
 
 _HERM_TOL = 1e-10
 _GENERAL_MAX_ORDER = 64
@@ -256,8 +256,7 @@ def distribution_test(spec, f, domain=None, f_id="abs_power_1"):
     if len(domain) != f.d:
         raise ValueError("domain arity does not match symbol arity")
     measure = float(np.prod([hi - lo for lo, hi in domain]))
-    env = _quad_points_env()
-    pts = max(512, env) if env else 512
+    pts = 512
 
     # tensor midpoint rule per box side; on a full period this matches trapezoid
     samples = f.sample(_tensor_grid(

@@ -10,7 +10,6 @@ univariate symbol into an equivalent block-valued one.
 """
 
 import json
-import os
 from functools import reduce
 
 import numpy as np
@@ -229,19 +228,6 @@ def symbol_hermitian(a):
     return a.hermitian()
 
 
-def _quad_points_env():
-    raw = os.environ.get("MOMSYM_QUAD_POINTS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"MOMSYM_QUAD_POINTS must be an integer, got {raw!r}") from exc
-    if val <= 0:
-        raise ParseError("MOMSYM_QUAD_POINTS must be positive")
-    return val
-
-
 def _normalize_k_range(k_range):
     if np.isscalar(k_range):
         return [(-int(k_range), int(k_range))]
@@ -266,26 +252,22 @@ def fourier_coefficients(f_callable, k_range, quad_points_per_dim=None):
     The trapezoid rule on the equispaced periodic grid is used, which is exact
     for trigonometric polynomials resolved by the grid.  k_range is either a
     single bound K (box |k_i| <= K in every variable) or a list of (lo, hi)
-    pairs, one per variable.  Coefficients with max modulus below 1e-13 are
-    pruned.
+    pairs, one per variable.  The grid has quad_points_per_dim points per
+    variable, by default 2K + 2 (the fewest that resolve |k| <= K), and
+    f_callable is called once per point.  Coefficients with max modulus
+    below 1e-13 are pruned.
     """
     boxes = _normalize_k_range(k_range)
     d = len(boxes)
     kmax = max(max(abs(lo), abs(hi)) for lo, hi in boxes)
     min_pts = 2 * kmax + 2
-    pts = quad_points_per_dim
-    if pts is None:
-        pts = max(min_pts, _quad_points_env() or 0)
-    pts = int(pts)
+    pts = min_pts if quad_points_per_dim is None else int(quad_points_per_dim)
     if pts < min_pts:
         raise ValueError(f"{pts} quadrature points cannot resolve |k| <= {kmax}; need >= {min_pts}")
 
     grid = _tensor_grid([np.arange(pts) * (2 * np.pi / pts)] * d)
-    probe = _as_coeff(f_callable(grid[0]) if d > 1 else f_callable(grid[0, 0]))
-    s, r = probe.shape
-    values = np.empty((grid.shape[0], s, r), dtype=complex)
-    for i, th in enumerate(grid):
-        values[i] = _as_coeff(f_callable(th) if d > 1 else f_callable(th[0]))
+    values = np.stack([_as_coeff(f_callable(th) if d > 1 else f_callable(th[0])) for th in grid])
+    s, r = values.shape[1:]
     if not np.all(np.isfinite(values)):
         raise NumericError("callable returned non-finite values on the quadrature grid")
 

@@ -226,6 +226,9 @@ def _commands():
         ("size_negative", ["grid", "--grid", "circulant", "--n", "-2"]),
         ("rect_without_m", ["build", "--kind", "toeplitz-rect", "--symbol", _IN + "f1.json",
                             "--n", "4"]),
+        ("build_toeplitz_with_m", ["build", "--kind", "toeplitz", "--symbol", _IN + "f1.json",
+                                   "--n", "4", "--m", "9"]),
+        ("spectrum_symbol_without_n", ["spectrum", "--symbol", _IN + "f1.json"]),
         ("rect23_toeplitz", ["build", "--kind", "toeplitz", "--symbol", _IN + "rect23.json",
                              "--n", "3"]),
         ("rect23_multilevel", ["build", "--kind", "multilevel", "--symbol",

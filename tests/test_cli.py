@@ -98,6 +98,14 @@ class TestBuildCommand:
                        "--eps", "2", "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("kind", ["toeplitz", "multilevel", "circulant", "tau"])
+    def test_m_refused_outside_toeplitz_rect(self, tmp_path, f1_path, capsys, kind):
+        rc = cli.main(["build", "--kind", kind, "--symbol", f1_path,
+                       "--n", "4", "--m", "9", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "--m" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_malformed_symbol_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -147,6 +155,17 @@ class TestSpectrumCommand:
     def test_missing_input_is_argument_error(self, tmp_path, capsys):
         rc = cli.main(["spectrum", "--kind", "hermitian", "--out", str(tmp_path)])
         assert rc == 3
+
+    def test_symbol_without_n_is_argument_error(self, tmp_path, f1_path, capsys):
+        rc = cli.main(["spectrum", "--symbol", f1_path, "--out", str(tmp_path)])
+        assert rc == 3
+        assert "--symbol needs --n" in capsys.readouterr().err
+
+    def test_m_refused_for_square_build_kind(self, tmp_path, f1_path, capsys):
+        rc = cli.main(["spectrum", "--symbol", f1_path, "--n", "4", "--m", "9",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert "--m" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_symbol_is_parse_error(self, tmp_path, capsys, token):

@@ -177,6 +177,14 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="unknown grid family 'custom'"):
             GridSpec("custom")
 
+    @pytest.mark.parametrize("weights", [(), (0,), (None, 1), (float("nan"), 0)])
+    def test_missing_corner_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="unsupported corner pair"):
+            GridSpec("tau", *weights)
+        if len(weights) == 2:
+            with pytest.raises(ValueError, match="unsupported corner pair"):
+                GridSpec.tau(*weights)
+
     @pytest.mark.parametrize("family", ["circulant", "uniform-open"])
     def test_only_tau_takes_corner_weights(self, family):
         with pytest.raises(ValueError, match="takes no corner weights"):

@@ -382,8 +382,7 @@ class TestDistribution:
         with pytest.raises(ValueError):
             distribution_test(spec, second_diff(), f_id="sine")
 
-    def test_env_quadrature_override(self, monkeypatch):
-        monkeypatch.setenv("MOMSYM_QUAD_POINTS", "600")
+    def test_abs_power_2_gap_at_512_midpoints(self):
         f = second_diff()
         spec = eig_hermitian(toeplitz(f, 8))
         rep = distribution_test(spec, f, f_id="abs_power_2")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from momsym import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                     NumericError, ParseError, block_reinterpret,
-                    eig_general_small, eig_hermitian, evaluate_symbol,
+                    distribution_test, eig_general_small, eig_hermitian, evaluate_symbol,
                     fourier_coefficients, interlacing_check,
                     momentary_evaluate, momentary_mul, parse_scaling,
                     symbol_add, symbol_hermitian, symbol_mul,
@@ -105,15 +105,55 @@ class TestFourierCoefficients:
         with pytest.raises(NumericError):
             fourier_coefficients(lambda t: float("nan"), 1, 8)
 
-    def test_env_override_used(self, monkeypatch):
-        monkeypatch.setenv("MOMSYM_QUAD_POINTS", "32")
-        got = fourier_coefficients(lambda t: 2 - 2 * math.cos(t), 2)
-        assert got.allclose(second_diff(), tol=1e-13)
+    @settings(deadline=None)
+    @given(st.data())
+    def test_inverts_laurent_symbol(self, data):
+        d, s, r, K = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)),
+                      data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3)))
+        keys = data.draw(st.lists(st.tuples(*[st.integers(-K, K)] * d),
+                                  min_size=1, max_size=6, unique=True))
+        parts = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+        f = LaurentSymbol({k: np.array(data.draw(st.lists(
+            st.builds(complex, parts, parts), min_size=s * r, max_size=s * r))).reshape(s, r)
+            for k in keys}, d=d, s=s, r=r)
+        got = fourier_coefficients(lambda t: f.eval(t), [K] * d)
+        assert got.support() == f.support()
+        assert got.allclose(f, tol=1e-12)
 
-    def test_env_override_invalid(self, monkeypatch):
-        monkeypatch.setenv("MOMSYM_QUAD_POINTS", "lots")
-        with pytest.raises(ParseError):
-            fourier_coefficients(lambda t: 1.0, 1)
+    @pytest.mark.parametrize("d, pts", [(1, 8), (2, 6)])
+    def test_callable_called_once_per_node(self, d, pts):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 1.0
+
+        fourier_coefficients(f, [(-1, 1)] * d, pts)
+        assert len(calls) == pts ** d
+
+    def test_value_shape_change_rejected(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 3 * np.eye(2) if len(calls) == 1 else 1.0
+
+        with pytest.raises(ValueError):
+            fourier_coefficients(f, 1)
+
+    @pytest.mark.parametrize("value", ["lots", "600"])
+    def test_quadrature_ignores_environment(self, monkeypatch, value):
+        f = LaurentSymbol({(0, 0): 3.0, (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -0.5j, (0, -1): 0.5j})
+        spec = eig_hermitian(toeplitz(second_diff(), 8))
+
+        def run():
+            return (fourier_coefficients(lambda t: f.eval(t), [2, 2]).to_json(),
+                    distribution_test(spec, second_diff(), f_id="abs_power_2"))
+
+        monkeypatch.delenv("MOMSYM_QUAD_POINTS", raising=False)
+        want = run()
+        monkeypatch.setenv("MOMSYM_QUAD_POINTS", value)
+        assert run() == want
 
 
 class TestAlgebra:
