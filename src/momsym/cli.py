@@ -85,6 +85,16 @@ def cmd_grid(args):
     return EXIT_OK
 
 
+def _corner_weights(kind, eps, phi):
+    """--eps and --phi of a tau build, 0 when not given; any other kind refuses them."""
+    if kind == "tau":
+        return tuple(0.0 if w is None else w for w in (eps, phi))
+    for flag, value in (("--eps", eps), ("--phi", phi)):
+        if value is not None:
+            raise ValueError(f"{flag} applies only to tau, not {kind}")
+    return None, None
+
+
 def _build_matrix(kind, sym, sizes, eps, phi, m_sizes=None):
     if kind == "toeplitz-rect":
         if m_sizes is None or len(sizes) != 1 or len(m_sizes) != 1:
@@ -105,12 +115,13 @@ def cmd_build(args):
     sym = load_symbol(args.symbol)
     sizes = _parse_sizes(args.n)
     m_sizes = _parse_sizes(args.m) if args.m else None
-    a = _build_matrix(args.kind, sym, sizes, args.eps, args.phi, m_sizes)
+    eps, phi = _corner_weights(args.kind, args.eps, args.phi)
+    a = _build_matrix(args.kind, sym, sizes, eps, phi, m_sizes)
     tag = "x".join(str(v) for v in sizes)
     if m_sizes:
         tag += "_m" + "x".join(str(v) for v in m_sizes)
     if args.kind == "tau":
-        tag += f"_eps{args.eps:g}_phi{args.phi:g}"
+        tag += f"_eps{eps:g}_phi{phi:g}"
     path = os.path.join(args.out, f"{args.kind}_n{_safe(tag)}.{args.format}")
     if args.format == "csv":
         write_matrix_csv(a, path)
@@ -128,6 +139,11 @@ def _load_matrix(path):
 
 def cmd_spectrum(args):
     if args.matrix:
+        for flag, value in (("--symbol", args.symbol), ("--n", args.n), ("--m", args.m),
+                            ("--build-kind", args.build_kind), ("--eps", args.eps),
+                            ("--phi", args.phi)):
+            if value is not None:
+                raise ValueError(f"spectrum --matrix takes no {flag}")
         a = _load_matrix(args.matrix)
     elif args.symbol:
         sym = load_symbol(args.symbol)
@@ -135,7 +151,9 @@ def cmd_spectrum(args):
             raise ValueError("--symbol needs --n")
         sizes = _parse_sizes(args.n)
         m_sizes = _parse_sizes(args.m) if args.m else None
-        a = _build_matrix(args.build_kind, sym, sizes, args.eps, args.phi, m_sizes)
+        kind = args.build_kind or "toeplitz"
+        eps, phi = _corner_weights(kind, args.eps, args.phi)
+        a = _build_matrix(kind, sym, sizes, eps, phi, m_sizes)
     else:
         raise ValueError("need --matrix or --symbol")
     if args.kind == "hermitian":
@@ -214,19 +232,19 @@ def build_parser():
     b.add_argument("--symbol", required=True)
     b.add_argument("--n", required=True, help="size, or comma list for multilevel")
     b.add_argument("--m", help="column sizes for toeplitz-rect")
-    b.add_argument("--eps", type=float, default=0.0)
-    b.add_argument("--phi", type=float, default=0.0)
+    b.add_argument("--eps", type=float, help="tau corner weight at (1,1), default 0")
+    b.add_argument("--phi", type=float, help="tau corner weight at (n,n), default 0")
     _add_out(b)
     b.set_defaults(func=cmd_build)
 
     s = sub.add_parser("spectrum", help="eigen/singular values of a matrix")
     s.add_argument("--matrix", help="matrix file (.csv or .json)")
     s.add_argument("--symbol", help="build the matrix from this symbol instead")
-    s.add_argument("--build-kind", default="toeplitz", choices=BUILD_KINDS)
+    s.add_argument("--build-kind", choices=BUILD_KINDS, help="default toeplitz")
     s.add_argument("--n")
     s.add_argument("--m")
-    s.add_argument("--eps", type=float, default=0.0)
-    s.add_argument("--phi", type=float, default=0.0)
+    s.add_argument("--eps", type=float, help="tau corner weight at (1,1), default 0")
+    s.add_argument("--phi", type=float, help="tau corner weight at (n,n), default 0")
     s.add_argument("--kind", choices=["hermitian", "singular", "general"],
                    default="hermitian")
     _add_out(s)

@@ -98,7 +98,8 @@ def multilevel_toeplitz_rect(f, n_vec, m_vec):
     rows = f.s * int(np.prod(n_vec))
     cols = f.r * int(np.prod(m_vec))
     # a build allocates only its 16-byte-per-entry result; at n=2047 tracemalloc peaks at
-    # 32 bytes per entry with eig_hermitian after it and 43 with matrix_to_csv_text
+    # 32 bytes per entry with eig_hermitian after it, 34 with matrix_to_csv_text and 36
+    # with matrix_to_json_text
     if 48 * rows * cols > _physical_memory():
         raise ValueError(f"a dense {rows} x {cols} build would exceed physical memory")
     a = np.zeros((rows, cols), dtype=complex)
@@ -115,27 +116,65 @@ def kron(a, b):
     return np.kron(a, b)
 
 
+# matrix IO goes a block of rows at a time, each block about this many entries, so
+# that its temporaries stay small next to the matrix and its text
+_BLOCK_ENTRIES = 4096
+
+
+def _rows_per_block(cols):
+    return max(1, _BLOCK_ENTRIES // max(1, cols))
+
+
+def _matrix_text(a, fmt, sep, row_sep, head, tail):
+    """head, then a's rows joined by row_sep with each row's fmt(entry) texts joined
+    by sep, then tail.  fmt runs once per distinct 16-byte bit pattern in a block, so
+    -0.0 and 0.0 keep their own texts."""
+    step = _rows_per_block(a.shape[1])
+    pieces = [head]
+    for start in range(0, a.shape[0], step):
+        block = np.ascontiguousarray(a[start:start + step])
+        bits, inverse = np.unique(block.view(np.dtype((np.void, 16))), return_inverse=True)
+        texts = np.array([fmt(v) for v in bits.view(complex).tolist()], dtype=object)
+        rows = texts[inverse.reshape(block.shape)].tolist()
+        if start:
+            pieces.append(row_sep)
+        pieces.append(row_sep.join([sep.join(row) for row in rows]))
+    pieces.append(tail)
+    return "".join(pieces)
+
+
 def matrix_to_csv_text(a):
     a = np.atleast_2d(np.asarray(a, dtype=complex))
-    lines = [",".join(fmt_complex(v) for v in row) for row in a]
-    return "\n".join(lines) + "\n"
+    return _matrix_text(a, fmt_complex, ",", "\n", "", "\n")
 
 
 def write_matrix_csv(a, path):
     atomic_write_text(path, matrix_to_csv_text(a))
 
 
+def _parse_cells(cells):
+    """complex() of every cell, called once per distinct cell text in first-seen order."""
+    first = {}  # cell text -> index of its first occurrence
+    where = np.fromiter(map(first.setdefault, cells, range(len(cells))), dtype=np.intp,
+                        count=len(cells))
+    values = np.empty(len(cells), dtype=complex)
+    values[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = [
+        complex(cell.strip().replace(" ", "")) for cell in first]
+    return values[where]
+
+
 def read_matrix_csv(path):
     try:
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        rows = [[complex(cell.strip().replace(" ", "")) for cell in ln.split(",")]
-                for ln in lines]
+        step = _rows_per_block(lines[0].count(",") + 1) if lines else 1
+        blocks = [_parse_cells(",".join(lines[i:i + step]).split(","))
+                  for i in range(0, len(lines), step)]
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read matrix CSV {path}: {exc}") from exc
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    if not lines or len({ln.count(",") for ln in lines}) > 1:
         raise ParseError(f"ragged or empty matrix CSV {path}")
-    a = np.array(rows, dtype=complex)
+    a = np.concatenate(blocks).reshape(len(lines), -1)
     if not np.all(np.isfinite(a)):
         raise ParseError(f"cannot read matrix CSV {path}: non-finite entry")
     return a
@@ -143,8 +182,8 @@ def read_matrix_csv(path):
 
 def matrix_to_json_text(a):
     a = np.atleast_2d(np.asarray(a, dtype=complex))
-    data = ",".join(f"[{fmt_real(v.real)},{fmt_real(v.imag)}]" for v in a.ravel())
-    return f'{{"rows":{a.shape[0]},"cols":{a.shape[1]},"data":[{data}]}}\n'
+    return _matrix_text(a, lambda v: f"[{fmt_real(v.real)},{fmt_real(v.imag)}]", ",", ",",
+                        f'{{"rows":{a.shape[0]},"cols":{a.shape[1]},"data":[', "]}\n")
 
 
 def write_matrix_json(a, path):
@@ -161,7 +200,8 @@ def read_matrix_json(path):
         flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
         if not np.all(np.isfinite(flat)):
             raise ValueError("non-finite entry")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise ParseError(f"cannot read matrix JSON {path}: {exc}") from exc
     if len(flat) != rows * cols:
         raise ParseError(f"matrix JSON {path} has {len(flat)} entries, expected {rows * cols}")

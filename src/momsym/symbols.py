@@ -207,7 +207,7 @@ class LaurentSymbol:
             if not all(np.all(np.isfinite(m)) for m in coeffs.values()):
                 raise ValueError("non-finite coefficient")
             return cls(coeffs, d=d, s=s, r=r)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad symbol JSON: {exc}") from exc
 
 

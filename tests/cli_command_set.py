@@ -14,8 +14,9 @@ the numbers depend on that build (and on the CPU).  The committed
 artifact on purpose regenerates it.
 
 The set covers `grid`, `build`, `spectrum`, `compare` and `example 1-4`,
-including malformed input (exit 2), bad arguments (exit 3), oversized
-builds (exit 3) and scalings that overflow (exit 4).
+including malformed input (exit 2), bad arguments and flags a command
+does not use (exit 3), oversized builds (exit 3) and scalings that overflow
+(exit 4).
 """
 
 import contextlib
@@ -72,6 +73,15 @@ BAD_MATRIX_HEADERS = [
 ]
 _RAW.update({f"header_{name}.json": text for name, text in BAD_MATRIX_HEADERS})
 
+# a number too large for a float, in a matrix JSON and in a symbol JSON; exit 2
+_HUGE = "1" + "0" * 400
+OVERFLOW_INPUTS = {
+    "overflow_matrix.json": '{"rows":1,"cols":1,"data":[[%s,0.0]]}' % _HUGE,
+    "overflow_symbol.json": '{"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [0], "m": [[[%s, 0.0]]]}]}'
+                            % _HUGE,
+}
+_RAW.update(OVERFLOW_INPUTS)
+
 # each rejected with exit 2 and "bad scaling JSON: ..."
 BAD_SCALINGS = [
     ("values_list", '{"form":"table","values":[1,2]}'),
@@ -92,6 +102,13 @@ OVERFLOW_SCALINGS = [
 ]
 
 _IN = "../inputs/"
+
+# spectrum --matrix refuses every build flag (exit 3, naming it), even one that
+# repeats a default
+MATRIX_BUILD_FLAGS = [("symbol", ["--symbol", _IN + "f1.json"]), ("n", ["--n", "4"]),
+                      ("m", ["--m", "4"]), ("build_kind", ["--build-kind", "toeplitz"]),
+                      ("eps", ["--eps", "0"]), ("phi", ["--phi", "1"])]
+
 _SCALED = ["--symbol", _IN + "f1.json", "--scaling", '{"form":"one"}',
            "--symbol", _IN + "one.json",
            "--scaling", '{"form":"inverse_power","p":2,"base":"n+1"}']
@@ -119,7 +136,9 @@ def _commands():
               ("blk2_toeplitz", ["--kind", "toeplitz", "--symbol", _IN + "blk2.json",
                                  "--n", "3"]),
               ("circulant_wrap7", ["--kind", "circulant", "--symbol", _IN + "wrap7.json",
-                                   "--n", "4"])]
+                                   "--n", "4"]),
+              # no --eps or --phi: both weights are 0 and named in the file
+              ("tau_default", ["--kind", "tau", "--symbol", _IN + "f1.json", "--n", "6"])]
     for name, args in builds:
         for fmt in ("csv", "json"):
             cmds.append((f"build_{name}_{fmt}", ["build"] + args + ["--format", fmt]))
@@ -268,6 +287,23 @@ def _commands():
     for name, _ in BAD_MATRIX_HEADERS:
         bad.append((f"matrix_header_{name}", ["spectrum", "--matrix",
                                               _IN + f"header_{name}.json"]))
+    bad += [("overflow_matrix", ["spectrum", "--matrix", _IN + "overflow_matrix.json"]),
+            ("overflow_symbol", ["build", "--kind", "toeplitz", "--symbol",
+                                 _IN + "overflow_symbol.json", "--n", "3"])]
+    for name, flag in MATRIX_BUILD_FLAGS:
+        bad.append((f"spectrum_matrix_with_{name}", ["spectrum", "--matrix", _IN + "tau.csv"]
+                    + flag))
+    bad += [
+        ("build_toeplitz_with_eps", ["build", "--kind", "toeplitz", "--symbol", _IN + "f1.json",
+                                     "--n", "4", "--eps", "1"]),
+        ("build_circulant_with_phi", ["build", "--kind", "circulant", "--symbol",
+                                      _IN + "f1.json", "--n", "4", "--phi", "0"]),
+        ("spectrum_toeplitz_with_eps", ["spectrum", "--symbol", _IN + "f1.json", "--n", "4",
+                                        "--eps", "1"]),
+        ("spectrum_rect_with_phi", ["spectrum", "--symbol", _IN + "f1.json", "--build-kind",
+                                    "toeplitz-rect", "--n", "4", "--m", "6", "--phi", "1",
+                                    "--kind", "singular"]),
+    ]
     return cmds + [("bad_" + name, argv) for name, argv in bad]
 
 

@@ -106,6 +106,23 @@ class TestBuildCommand:
         assert "--m" in capsys.readouterr().err
         assert list(tmp_path.glob("*.csv")) == []
 
+    def test_tau_weights_default_to_zero(self, tmp_path, f1_path):
+        rc = cli.main(["build", "--kind", "tau", "--symbol", f1_path, "--n", "5",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        got = read_matrix_csv(tmp_path / "tau_n5_eps0_phi0.csv")
+        assert np.array_equal(got, tau_matrix(second_diff(), 0, 0, 5))
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "multilevel", "circulant", "toeplitz-rect"])
+    @pytest.mark.parametrize("flag", ["--eps", "--phi"])
+    def test_corner_weights_refused_outside_tau(self, tmp_path, f1_path, capsys, kind, flag):
+        m = ["--m", "6"] if kind == "toeplitz-rect" else []
+        rc = cli.main(["build", "--kind", kind, "--symbol", f1_path, "--n", "4", *m,
+                       flag, "0", "--out", str(tmp_path)])
+        assert rc == 3
+        assert f"{flag} applies only to tau, not {kind}" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_malformed_symbol_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -160,6 +177,36 @@ class TestSpectrumCommand:
         rc = cli.main(["spectrum", "--symbol", f1_path, "--out", str(tmp_path)])
         assert rc == 3
         assert "--symbol needs --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flag", cli_command_set.MATRIX_BUILD_FLAGS,
+                             ids=[name for name, _ in cli_command_set.MATRIX_BUILD_FLAGS])
+    def test_matrix_refuses_build_flags(self, tmp_path, f1_path, capsys, name, flag):
+        cli.main(["build", "--kind", "toeplitz", "--symbol", f1_path, "--n", "4",
+                  "--out", str(tmp_path)])
+        capsys.readouterr()
+        rc = cli.main(["spectrum", "--matrix", str(tmp_path / "toeplitz_n4.csv"), *flag,
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert f"spectrum --matrix takes no {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum_hermitian.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--eps", "--phi"])
+    def test_corner_weights_refused_for_toeplitz_spectrum(self, tmp_path, f1_path, capsys,
+                                                          flag):
+        rc = cli.main(["spectrum", "--symbol", f1_path, "--n", "4", flag, "0",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert f"{flag} applies only to tau, not toeplitz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(cli_command_set.OVERFLOW_INPUTS))
+    def test_number_beyond_float_range_is_parse_error(self, tmp_path, capsys, name):
+        bad = tmp_path / name
+        bad.write_text(cli_command_set.OVERFLOW_INPUTS[name])
+        source = ["--matrix", str(bad)] if "matrix" in name else ["--symbol", str(bad),
+                                                                  "--n", "3"]
+        rc = cli.main(["spectrum", *source, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "int too large to convert to float" in capsys.readouterr().err
 
     def test_m_refused_for_square_build_kind(self, tmp_path, f1_path, capsys):
         rc = cli.main(["spectrum", "--symbol", f1_path, "--n", "4", "--m", "9",

@@ -1,4 +1,8 @@
+import os
+import tempfile
+import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +12,12 @@ from hypothesis import strategies as st
 import momsym.matrices as matrices
 from momsym import (LaurentSymbol, ParseError, circulant, circulant_grid,
                     circulant_real_transform, fourier_matrix, identity_rect, kron,
-                    matrix_to_csv_text, multilevel_toeplitz,
+                    matrix_to_csv_text, matrix_to_json_text, multilevel_toeplitz,
                     multilevel_toeplitz_rect, read_matrix_csv,
                     read_matrix_json, shift_matrix, tau_eigen_grid,
                     tau_eigvec_matrix, tau_matrix, toeplitz,
                     toeplitz_rect, write_matrix_csv, write_matrix_json)
+from momsym._io import fmt_complex, fmt_real
 
 
 def second_diff():
@@ -392,3 +397,148 @@ class TestMatrixIO:
         path.write_text('{"rows": 2}')
         with pytest.raises(ParseError):
             read_matrix_json(path)
+
+
+def csv_text_per_cell(a):
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    return "\n".join(",".join(fmt_complex(v) for v in row) for row in a) + "\n"
+
+
+def json_text_per_cell(a):
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    data = ",".join(f"[{fmt_real(v.real)},{fmt_real(v.imag)}]" for v in a.ravel())
+    return f'{{"rows":{a.shape[0]},"cols":{a.shape[1]},"data":[{data}]}}\n'
+
+
+def read_csv_per_cell(path):
+    """complex() of every cell of every non-blank line, then the shape checks."""
+    try:
+        with open(path) as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        rows = [[complex(cell.strip().replace(" ", "")) for cell in ln.split(",")]
+                for ln in lines]
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read matrix CSV {path}: {exc}") from exc
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError(f"ragged or empty matrix CSV {path}")
+    a = np.array(rows, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ParseError(f"cannot read matrix CSV {path}: non-finite entry")
+    return a
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+_ONE_ULP = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+# finite values that format alike or nearly so: signed zeros, subnormals, neighbours
+_FINITE_POOL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324, -5e-324,
+                complex(0.0, 5e-324), 2.2250738585072014e-308, *_ONE_ULP,
+                complex(_ONE_ULP[0], _ONE_ULP[2]), 0.1, -2.5 + 1j, 1j, 1e300 - 1e-300j]
+_NONFINITE_POOL = [np.inf, -np.inf, complex(0.0, -np.inf), np.nan, complex(1.0, np.nan),
+                   *_NAN_PAYLOAD, complex(0.0, _NAN_PAYLOAD[1])]
+
+
+@st.composite
+def pooled_matrices(draw, pool):
+    """A rows x cols complex matrix, 1..7 each way: drawn from pool, or all but
+    surely distinct."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
+                               max_size=rows * cols))
+    else:
+        re, im = np.random.default_rng(draw(st.integers(0, 2 ** 32))).normal(
+            size=(2, rows * cols))
+        values = re + 1j * im
+    return np.array(values, dtype=complex).reshape(rows, cols)
+
+
+# cell texts that parse alike, parse apart, hold spaces, or do not parse at all
+_CELLS = ["0", "0.0+0.0j", "-0.0-0.0j", "0-0j", " 1 ", "1 + 2j", "(1+2j)", "5e-324",
+          "-5e-324j", "1.0000000000000002", "0.9999999999999999", "2.5e3-1j", "nan+0j",
+          "inf", "zap", "", "1+", " ", "1,,2"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text built from _CELLS: rows of 1..4 cells, usually all one width,
+    with blank lines and CRLF endings mixed in."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        cols = width if draw(st.integers(0, 4)) else draw(st.integers(1, 4))
+        lines.append(",".join(draw(st.lists(st.sampled_from(_CELLS), min_size=cols,
+                                            max_size=cols))))
+        if not draw(st.integers(0, 4)):
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestMatrixIOPerDistinctValue:
+    """The writers and the CSV reader match, byte for byte, the per-cell code they replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(pooled_matrices(_FINITE_POOL + _NONFINITE_POOL), st.integers(1, 20))
+    def test_writers_match_per_cell_formatting(self, a, block):
+        # small blocks put block boundaries inside and between rows
+        with mock.patch.object(matrices, "_BLOCK_ENTRIES", block):
+            assert matrix_to_csv_text(a) == csv_text_per_cell(a)
+            assert matrix_to_json_text(a) == json_text_per_cell(a)
+
+    @settings(deadline=None, max_examples=300)
+    @given(pooled_matrices(_FINITE_POOL), st.integers(1, 20))
+    def test_reader_matches_per_cell_parsing(self, a, block):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(matrices, "_BLOCK_ENTRIES", block):
+            path = os.path.join(tmp, "m.csv")
+            write_matrix_csv(a, path)
+            got = read_matrix_csv(path)
+            assert np.array_equal(_bits(got), _bits(read_csv_per_cell(path)))  # signbit too
+            # equal, not bit-equal: fmt_complex writes an imaginary -0.0 as +0.0j
+            assert got.shape == a.shape and np.array_equal(got, a)
+
+    @settings(deadline=None, max_examples=500)
+    @given(csv_texts(), st.integers(1, 20))
+    def test_reader_errors_match_per_cell_parsing(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(matrices, "_BLOCK_ENTRIES", block):
+            path = os.path.join(tmp, "m.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            try:
+                want = read_csv_per_cell(path)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    read_matrix_csv(path)
+                assert str(got.value) == str(exc)
+            else:
+                assert np.array_equal(_bits(read_matrix_csv(path)), _bits(want))
+
+    def test_empty_and_blank_files_are_refused_as_empty(self, tmp_path):
+        for text in ("", "\n \n\t\n"):
+            path = tmp_path / "m.csv"
+            path.write_text(text)
+            with pytest.raises(ParseError, match="^ragged or empty matrix CSV"):
+                read_matrix_csv(path)
+
+    def test_malformed_cell_is_reported_before_a_ragged_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3\n4,zap\n")
+        with pytest.raises(ParseError, match="malformed string"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("writer", [matrix_to_csv_text, matrix_to_json_text])
+    def test_build_plus_writer_stays_within_memory_guard(self, writer):
+        # the builders refuse a matrix needing more than 48 bytes per entry; what
+        # follows a build must fit in that: its 16, about 10 of text, and one copy
+        n = 512
+        tracemalloc.start()
+        try:
+            writer(tau_matrix(second_diff(), 0, 0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n * n, f"{peak / n / n:.1f} bytes per entry"

@@ -573,6 +573,11 @@ class TestSerialization:
         with pytest.raises(ParseError):
             LaurentSymbol.from_json({"d": 1, "coeffs": "nope"})
 
+    def test_coefficient_beyond_float_range_rejected(self):
+        obj = {"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [0], "m": [[[10 ** 400, 0.0]]]}]}
+        with pytest.raises(ParseError, match="^bad symbol JSON: int too large"):
+            LaurentSymbol.from_json(obj)
+
     @pytest.mark.parametrize("terms", [
         [],
         [{"scaling": {"form": "one"}, "symbol": {"d": 1, "s": 1, "r": 1, "coeffs": []}},
