@@ -1,5 +1,6 @@
 """Small file-output helpers: atomic writes and stable number formatting."""
 
+import math
 import os
 
 
@@ -24,5 +25,7 @@ def fmt_real(x):
 
 
 def fmt_complex(z):
+    """re+imj, signed by the sign bit of the imaginary part (so -0.0 too); NaN gives -nanj."""
     z = complex(z)
-    return f"{fmt_real(z.real)}{'+' if z.imag >= 0 else '-'}{fmt_real(abs(z.imag))}j"
+    sign = "-" if math.isnan(z.imag) or math.copysign(1, z.imag) < 0 else "+"
+    return f"{fmt_real(z.real)}{sign}{fmt_real(abs(z.imag))}j"

@@ -107,7 +107,7 @@ def compare(exact, approx, grid=None, symbol_kind="glt", size=()):
         max_error=float(np.max(err, initial=0.0)),
         grid=grid,
         symbol_kind=symbol_kind,
-        size=tuple(int(v) for v in np.atleast_1d(size)) if size != () else (),
+        size=tuple(int(v) for v in np.atleast_1d(size)),
     )
 
 

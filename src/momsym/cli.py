@@ -85,83 +85,62 @@ def cmd_grid(args):
     return EXIT_OK
 
 
-def _corner_weights(kind, eps, phi):
-    """--eps and --phi of a tau build, 0 when not given; any other kind refuses them."""
-    if kind == "tau":
-        return tuple(0.0 if w is None else w for w in (eps, phi))
-    for flag, value in (("--eps", eps), ("--phi", phi)):
-        if value is not None:
-            raise ValueError(f"{flag} applies only to tau, not {kind}")
-    return None, None
+# each flag that one build kind or scenario alone reads, and that reader; every
+# other kind refuses the flag
+_OWNERS = {"eps": "tau", "phi": "tau", "m": "toeplitz-rect", "N": "example 3",
+           "bc": "example 1"}
 
 
-def _build_matrix(kind, sym, sizes, eps, phi, m_sizes=None):
+def _refuse_unowned(args, kind):
+    for flag, owner in _OWNERS.items():
+        if getattr(args, flag, None) is not None and owner != kind:
+            raise ValueError(f"--{flag} applies only to {owner}, not {kind}")
+
+
+def _symbol_matrix(args, kind):
+    """The --symbol matrix of this kind, sized by --n and --m, and its file-name tag."""
+    sym = load_symbol(args.symbol)
+    if args.n is None:
+        raise ValueError("--symbol needs --n")
+    sizes = _parse_sizes(args.n)
+    m_sizes = None if args.m is None else _parse_sizes(args.m)
+    _refuse_unowned(args, kind)
+    tag = "x".join(str(v) for v in sizes)
+    if kind == "multilevel":
+        return multilevel_toeplitz(sym, sizes), tag
     if kind == "toeplitz-rect":
         if m_sizes is None or len(sizes) != 1 or len(m_sizes) != 1:
             raise ValueError("toeplitz-rect needs --n and --m, one size each")
-        return toeplitz_rect(sym, sizes[0], m_sizes[0])
-    if m_sizes is not None:
-        raise ValueError(f"--m applies only to toeplitz-rect, not {kind}")
-    if kind == "multilevel":
-        return multilevel_toeplitz(sym, sizes)
-    single = {"toeplitz": toeplitz, "circulant": circulant,
-              "tau": lambda f, n: tau_matrix(f, eps, phi, n)}
+        return toeplitz_rect(sym, sizes[0], m_sizes[0]), f"{tag}_m{m_sizes[0]}"
     if len(sizes) != 1:
         raise ValueError(f"{kind} takes a single size")
-    return single[kind](sym, sizes[0])
+    if kind == "tau":
+        eps, phi = (0.0 if w is None else w for w in (args.eps, args.phi))
+        return tau_matrix(sym, eps, phi, sizes[0]), f"{tag}_eps{eps:g}_phi{phi:g}"
+    return {"toeplitz": toeplitz, "circulant": circulant}[kind](sym, sizes[0]), tag
 
 
 def cmd_build(args):
-    sym = load_symbol(args.symbol)
-    sizes = _parse_sizes(args.n)
-    m_sizes = _parse_sizes(args.m) if args.m else None
-    eps, phi = _corner_weights(args.kind, args.eps, args.phi)
-    a = _build_matrix(args.kind, sym, sizes, eps, phi, m_sizes)
-    tag = "x".join(str(v) for v in sizes)
-    if m_sizes:
-        tag += "_m" + "x".join(str(v) for v in m_sizes)
-    if args.kind == "tau":
-        tag += f"_eps{eps:g}_phi{phi:g}"
+    a, tag = _symbol_matrix(args, args.kind)
     path = os.path.join(args.out, f"{args.kind}_n{_safe(tag)}.{args.format}")
-    if args.format == "csv":
-        write_matrix_csv(a, path)
-    else:
-        write_matrix_json(a, path)
+    (write_matrix_csv if args.format == "csv" else write_matrix_json)(a, path)
     print(path)
     return EXIT_OK
 
 
-def _load_matrix(path):
-    if path.endswith(".json"):
-        return read_matrix_json(path)
-    return read_matrix_csv(path)
-
-
 def cmd_spectrum(args):
     if args.matrix:
-        for flag, value in (("--symbol", args.symbol), ("--n", args.n), ("--m", args.m),
-                            ("--build-kind", args.build_kind), ("--eps", args.eps),
-                            ("--phi", args.phi)):
-            if value is not None:
-                raise ValueError(f"spectrum --matrix takes no {flag}")
-        a = _load_matrix(args.matrix)
+        for flag in ("symbol", "n", "m", "build_kind", "eps", "phi"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"spectrum --matrix takes no --{flag.replace('_', '-')}")
+        read = read_matrix_json if args.matrix.endswith(".json") else read_matrix_csv
+        a = read(args.matrix)
     elif args.symbol:
-        sym = load_symbol(args.symbol)
-        if args.n is None:
-            raise ValueError("--symbol needs --n")
-        sizes = _parse_sizes(args.n)
-        m_sizes = _parse_sizes(args.m) if args.m else None
-        kind = args.build_kind or "toeplitz"
-        eps, phi = _corner_weights(kind, args.eps, args.phi)
-        a = _build_matrix(kind, sym, sizes, eps, phi, m_sizes)
+        a, _ = _symbol_matrix(args, args.build_kind or "toeplitz")
     else:
         raise ValueError("need --matrix or --symbol")
-    if args.kind == "hermitian":
-        spec = eig_hermitian(a)
-    elif args.kind == "singular":
-        spec = singular_values(a)
-    else:
-        spec = eig_general_small(a)
+    spec = {"hermitian": eig_hermitian, "singular": singular_values,
+            "general": eig_general_small}[args.kind](a)
     path = os.path.join(args.out, f"spectrum_{args.kind}.{args.format}")
     _write(path, spec.to_csv_text() if args.format == "csv" else spec.to_json_text())
     return EXIT_OK
@@ -191,13 +170,14 @@ def cmd_compare(args):
 
 
 def cmd_example(args):
+    _refuse_unowned(args, f"example {args.id}")
     if args.id == "3" and args.N is None:
         raise ValueError("example 3 needs --N")
     params = {"n": _one_size("--n", args.n)}
-    if args.id == "1":
-        params["bc"] = args.bc
-    elif args.id == "3":
+    if args.N is not None:
         params["N"] = _one_size("--N", args.N)
+    if args.bc is not None:
+        params["bc"] = args.bc
     rep = run_example(args.id, **params)
     for path in rep.write_artifacts(args.out, fmt=args.format):
         print(path)
@@ -245,8 +225,7 @@ def build_parser():
     s.add_argument("--m")
     s.add_argument("--eps", type=float, help="tau corner weight at (1,1), default 0")
     s.add_argument("--phi", type=float, help="tau corner weight at (n,n), default 0")
-    s.add_argument("--kind", choices=["hermitian", "singular", "general"],
-                   default="hermitian")
+    s.add_argument("--kind", choices=["hermitian", "singular", "general"], default="hermitian")
     _add_out(s)
     s.set_defaults(func=cmd_spectrum)
 
@@ -266,8 +245,8 @@ def build_parser():
     e.add_argument("id", choices=["1", "2", "3", "4"])
     e.add_argument("--n", required=True)
     e.add_argument("--N", help="time-step count for example 3")
-    e.add_argument("--bc", default="dirichlet_neumann",
-                   choices=["dirichlet_neumann", "dirichlet", "periodic"])
+    e.add_argument("--bc", choices=["dirichlet_neumann", "dirichlet", "periodic"],
+                   help="boundary condition for example 1, default dirichlet_neumann")
     _add_out(e, formats=("json", "csv", "both"), default="json")
     e.set_defaults(func=cmd_example)
     return ap

@@ -27,7 +27,8 @@ import numpy as np
 from ._io import atomic_write_text
 from .analysis import _reports, compare, sample_spectrum_approx, verify_tau_decomposition
 from .grids import GridSpec
-from .matrices import identity_rect, multilevel_toeplitz, multilevel_toeplitz_rect, toeplitz
+from .matrices import (_refuse_oversized, identity_rect, multilevel_toeplitz,
+                       multilevel_toeplitz_rect, toeplitz)
 from .spectra import Spectrum, eig_general_small, eig_hermitian, singular_values
 from .symbols import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                       block_reinterpret, symmetrize_tridiagonal)
@@ -284,6 +285,9 @@ def example3(N, n):
     if N < 2 or n < 3:
         raise ValueError("need N >= 2 and n >= 3")
     m = n - 1
+    # the kron assembly, its reordering and the reference peak at 72 bytes per entry
+    # of the order 2Nm, plus lower-order terms (tracemalloc, N = 8 and 16 at n = 33)
+    _refuse_oversized(2 * N * m, 2 * N * m, 72)
     full = _example3_blocks(N, n)
     rep = ExampleReport("3", {"N": N, "n": n})
     rep.notes["order"] = full.shape[0]

@@ -23,6 +23,12 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _refuse_oversized(rows, cols, bytes_per_entry):
+    """ValueError when a dense rows x cols build needing bytes_per_entry would not fit."""
+    if bytes_per_entry * rows * cols > _physical_memory():
+        raise ValueError(f"a dense {rows} x {cols} build would exceed physical memory")
+
+
 def toeplitz(f, n):
     """T_n(f): block entry (i, j) is the coefficient of f at i - j."""
     if f.s != f.r:
@@ -100,8 +106,7 @@ def multilevel_toeplitz_rect(f, n_vec, m_vec):
     # a build allocates only its 16-byte-per-entry result; at n=2047 tracemalloc peaks at
     # 32 bytes per entry with eig_hermitian after it, 34 with matrix_to_csv_text and 36
     # with matrix_to_json_text
-    if 48 * rows * cols > _physical_memory():
-        raise ValueError(f"a dense {rows} x {cols} build would exceed physical memory")
+    _refuse_oversized(rows, cols, 48)
     a = np.zeros((rows, cols), dtype=complex)
     # f_k fills the rows with 0 <= i - k < m on every level, maybe none of them
     blocks = a.reshape(n_vec + (f.s,) + m_vec + (f.r,))

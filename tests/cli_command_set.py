@@ -16,7 +16,7 @@ artifact on purpose regenerates it.
 The set covers `grid`, `build`, `spectrum`, `compare` and `example 1-4`,
 including malformed input (exit 2), bad arguments and flags a command
 does not use (exit 3), oversized builds (exit 3) and scalings that overflow
-(exit 4).
+(exit 4).  No command may exit 1, the code of an uncaught error.
 """
 
 import contextlib
@@ -62,6 +62,7 @@ _RAW = {
     "nan.csv": "1.0+0.0j,nan+0.0j\n2.0+0.0j,1.0+0.0j\n",
     "inf.json": '{"rows":1,"cols":1,"data":[[Infinity,0.0]]}',
     "table_missing.json": '{"form": "table", "class_tag": "decaying", "values": {"5": 1.0}}',
+    "entry_count.json": '{"rows":2,"cols":2,"data":[[1,0]]}',
 }
 
 # matrix JSON whose rows/cols header is not a pair of positive integers; exit 2
@@ -303,6 +304,13 @@ def _commands():
         ("spectrum_rect_with_phi", ["spectrum", "--symbol", _IN + "f1.json", "--build-kind",
                                     "toeplitz-rect", "--n", "4", "--m", "6", "--phi", "1",
                                     "--kind", "singular"]),
+    ]
+    bad += [
+        ("matrix_entry_count", ["spectrum", "--matrix", _IN + "entry_count.json"]),
+        ("grid_tau_0_x", ["grid", "--grid", "tau:0,x", "--n", "5"]),
+        ("example3_oversized", ["example", "3", "--N", "100000", "--n", "33"]),
+        ("example2_with_N", ["example", "2", "--n", "5", "--N", "4"]),
+        ("example4_with_bc", ["example", "4", "--n", "5", "--bc", "periodic"]),
     ]
     return cmds + [("bad_" + name, argv) for name, argv in bad]
 

@@ -166,6 +166,13 @@ class TestCompare:
         rep.write_json(path)
         assert json.loads(path.read_text()) == obj
 
+    def test_array_size_matches_tuple(self):
+        spec = eig_hermitian(toeplitz(second_diff(), 4))
+        reports = [compare(spec, spec.values, grid=GridSpec.tau(0, 0), size=size)
+                   for size in ((16, 16), np.array([16, 16]), np.int64(16), (16,))]
+        texts = [rep.to_json_text() for rep in reports]
+        assert texts[0] == texts[1] and texts[2] == texts[3]
+
 
 class TestTauVerification:
     def test_gram_of_shifted_bidiagonal(self):

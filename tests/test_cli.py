@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -408,6 +409,19 @@ class TestExampleCommand:
         csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert "example1_n7_momentary_matched.csv" in csvs
 
+    def test_example1_defaults_to_dirichlet_neumann(self, tmp_path):
+        rc = cli.main(["example", "1", "--n", "7", "--out", str(tmp_path)])
+        assert rc == 0
+        obj = json.loads((tmp_path / "example1_n7.json").read_text())
+        assert obj["params"] == {"bc": "dirichlet_neumann", "n": 7}
+
+    def test_example3_oversized_is_argument_error(self, tmp_path, capsys):
+        rc = cli.main(["example", "3", "--N", "100000", "--n", "33", "--out", str(tmp_path)])
+        assert rc == 3
+        assert ("a dense 6400000 x 6400000 build would exceed physical memory"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_claim_maps_to_exit_5(self, tmp_path, monkeypatch, capsys):
         class FakeReport:
             flags = {"good": True, "bad": False}
@@ -437,6 +451,51 @@ def test_single_size_flag_rejects_a_list(tmp_path, f1_path, capsys, argv, flag, 
     rc = cli.main([f1_path if a is None else a for a in argv] + ["--out", str(out)])
     assert rc == 3
     assert f"error (argument): {flag} takes one size, got '{text}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# each flag that one build kind or scenario alone reads, and that reader
+FLAG_OWNERS = {"--m": "toeplitz-rect", "--eps": "tau", "--phi": "tau", "--N": "example 3",
+               "--bc": "example 1"}
+# the option of each command that picks its build kind or scenario
+KIND_OPTIONS = {"build": "--kind", "spectrum": "--build-kind", "example": "id"}
+
+
+def _unowned_flag_cases():
+    """(argv, flag, kind): each owned flag a command takes, given to each kind or
+    scenario of that command that does not read it; found by walking the parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    cases = []
+    for command, option in KIND_OPTIONS.items():
+        actions = {name: a for a in sub.choices[command]._actions
+                   for name in a.option_strings or [a.dest]}
+        for flag, owner in FLAG_OWNERS.items():
+            if flag not in actions:
+                continue
+            value = (actions[flag].choices or ["1"])[-1]
+            for choice in actions[option].choices:
+                if command == "example":
+                    kind, argv = f"example {choice}", [command, choice, "--n", "5"]
+                else:
+                    kind, argv = choice, [command, option, choice, "--symbol", None, "--n", "4"]
+                if kind != owner:
+                    cases.append(pytest.param(argv + [flag, value], flag, kind,
+                                              id=f"{command}-{choice}-{flag}"))
+    return cases
+
+
+def test_every_owned_flag_is_walked():
+    assert {case.values[1] for case in _unowned_flag_cases()} == set(FLAG_OWNERS)
+
+
+@pytest.mark.parametrize("argv, flag, kind", _unowned_flag_cases())
+def test_owned_flag_refused_elsewhere(tmp_path, f1_path, capsys, argv, flag, kind):
+    out = tmp_path / "out"
+    rc = cli.main([f1_path if a is None else a for a in argv] + ["--out", str(out)])
+    assert rc == 3
+    assert (f"error (argument): {flag} applies only to {FLAG_OWNERS[flag]}, not {kind}"
+            in capsys.readouterr().err)
     assert list(out.iterdir()) == []
 
 

@@ -22,8 +22,9 @@ def test_command_set_reruns_are_byte_identical(tmp_path):
     second = cli_command_set.run(tmp_path / "b")
     assert first == second
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
-    # success, malformed input and bad arguments all occur
+    # success, malformed input and bad arguments all occur; exit 1 is an uncaught error
     assert {0, 2, 3} <= set(first.values())
+    assert [name for name, code in first.items() if code == 1] == []
     assert first["bad_nan_csv_singular"] == 2 and first["bad_s0r0_symbol"] == 2
 
 

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import momsym.examples as examples
+import momsym.matrices as matrices
 from momsym import (eig_general_small, example1, example2, example3, example4,
                     run_example, toeplitz, LaurentSymbol)
 
@@ -97,6 +100,27 @@ class TestExample3:
             example3(1, 4)
         with pytest.raises(ValueError):
             example3(2, 2)
+
+    def test_memory_guard_covers_measured_peak(self):
+        # the guard's 72 bytes per entry of the order, plus lower-order terms
+        order = 2 * 8 * 32
+        tracemalloc.start()
+        try:
+            example3(8, 33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 73 * order * order
+
+    def test_memory_guard_before_assembly(self, monkeypatch):
+        # 72 bytes per entry of the order 2N(n-1): exactly that runs, one byte less is refused
+        order = 2 * 2 * 3
+        monkeypatch.setattr(matrices, "_physical_memory", lambda: 72 * order * order)
+        assert example3(2, 4).notes["order"] == order
+        monkeypatch.setattr(matrices, "_physical_memory", lambda: 72 * order * order - 1)
+        monkeypatch.setattr(examples, "_example3_blocks", None)  # never reached
+        with pytest.raises(ValueError, match=f"a dense {order} x {order} build would exceed"):
+            example3(2, 4)
 
 
 class TestExample4:

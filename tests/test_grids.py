@@ -153,6 +153,8 @@ class TestGridSpec:
             GridSpec.parse("tau:5,0")
         with pytest.raises(ParseError):
             GridSpec.parse("tau:1")
+        with pytest.raises(ParseError, match="bad tau grid name 'tau:0,x'"):
+            GridSpec.parse("tau:0,x")
 
     def test_angles_dispatch(self):
         assert np.array_equal(GridSpec.tau(0, 0).angles(4), tau_eigen_grid(0, 0, 4))

@@ -398,6 +398,19 @@ class TestMatrixIO:
         with pytest.raises(ParseError):
             read_matrix_json(path)
 
+    def test_json_entry_count_must_match_header(self, tmp_path):
+        path = tmp_path / "count.json"
+        path.write_text('{"rows":2,"cols":2,"data":[[1,0]]}')
+        with pytest.raises(ParseError, match="has 1 entries, expected 4"):
+            read_matrix_json(path)
+
+    @pytest.mark.parametrize("z, text", [
+        (complex(0.0, -0.0), "0.0-0.0j"), (complex(-0.0, 0.0), "-0.0+0.0j"),
+        (complex(1.0, -np.inf), "1.0-infj"), (complex(1.0, np.nan), "1.0-nanj"),
+        (complex(1.0, -np.nan), "1.0-nanj")])
+    def test_csv_cell_keeps_imaginary_sign(self, z, text):
+        assert fmt_complex(z) == text
+
 
 def csv_text_per_cell(a):
     a = np.atleast_2d(np.asarray(a, dtype=complex))
@@ -497,8 +510,7 @@ class TestMatrixIOPerDistinctValue:
             write_matrix_csv(a, path)
             got = read_matrix_csv(path)
             assert np.array_equal(_bits(got), _bits(read_csv_per_cell(path)))  # signbit too
-            # equal, not bit-equal: fmt_complex writes an imaginary -0.0 as +0.0j
-            assert got.shape == a.shape and np.array_equal(got, a)
+            assert got.shape == a.shape and np.array_equal(_bits(got), _bits(a))
 
     @settings(deadline=None, max_examples=500)
     @given(csv_texts(), st.integers(1, 20))
