@@ -163,9 +163,8 @@ def example1(n, bc="dirichlet_neumann"):
 
 
 def _bracketed(values, f, lower_grid, upper_grid, n):
-    """Whether scalar f on lower_grid and on upper_grid brackets values, to 1e-12 relative."""
-    lower = f.sample(lower_grid.angles(n))[:, 0, 0].real
-    upper = f.sample(upper_grid.angles(n))[:, 0, 0].real
+    """Whether f's sorted samples on lower_grid and upper_grid bracket sorted values, to 1e-12."""
+    lower, upper = (sample_spectrum_approx(f, grid, n) for grid in (lower_grid, upper_grid))
     tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
     return bool(np.all(values >= lower - tol) and np.all(values <= upper + tol))
 
@@ -233,7 +232,7 @@ def example2(n):
     rep.notes["glt_symbol_grid_max"] = glt_gram_max
 
     rep.flags["gram_eigenvalues_bracketed_by_neighbor_grids"] = _bracketed(
-        gram_eigs.values[::-1], g_fixed, GridSpec.tau(0, -1), GridSpec.tau(0, 0), n)
+        gram_eigs.values, g_fixed, GridSpec.tau(0, -1), GridSpec.tau(0, 0), n)
 
     rep.reports["gram_momentary"], rep.reports["gram_glt"] = _reports(
         gram_eigs, grid, n, momentary=g_fixed, glt=g_mom.glt_symbol())

@@ -67,7 +67,7 @@ def circulant(f, n):
 def tau_matrix(f, eps, phi, n):
     """T_n(f) with corner corrections eps*f1 at (1,1) and phi*f1 at (n,n)."""
     eps, phi = float(eps), float(phi)
-    if abs(eps) > 1 or abs(phi) > 1:
+    if not (abs(eps) <= 1 and abs(phi) <= 1):
         raise ValueError("corner weights must lie in [-1, 1]")
     _, f1 = _tridiagonal_coeffs(f, real_symmetric=True)
     a = toeplitz(f, n)

@@ -196,14 +196,17 @@ class LaurentSymbol:
     @classmethod
     def from_json(cls, obj):
         try:
-            d, s, r = int(obj["d"]), int(obj["s"]), int(obj["r"])
+            d, s, r = obj["d"], obj["s"], obj["r"]
+            if not all(type(v) is int for v in (d, s, r)):
+                raise ValueError(f"d, s and r must be integers, got {d!r}, {s!r}, {r!r}")
             if min(d, s, r) < 1:
                 raise ValueError("d, s and r must be positive")
             coeffs = {}
             for entry in obj["coeffs"]:
-                key = tuple(int(v) for v in entry["k"])
-                m = np.array([[complex(re, im) for re, im in row] for row in entry["m"]])
-                coeffs[key] = m
+                key = tuple(entry["k"])
+                if not all(type(v) is int for v in key) or key in coeffs:
+                    raise ValueError(f"each k must be new and hold integers, got {entry['k']!r}")
+                coeffs[key] = np.array([[complex(re, im) for re, im in row] for row in entry["m"]])
             if not all(np.all(np.isfinite(m)) for m in coeffs.values()):
                 raise ValueError("non-finite coefficient")
             return cls(coeffs, d=d, s=s, r=r)

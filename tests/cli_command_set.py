@@ -83,6 +83,20 @@ OVERFLOW_INPUTS = {
 }
 _RAW.update(OVERFLOW_INPUTS)
 
+# symbol JSON whose d, s, r or k is not a JSON integer, or that repeats a k; each
+# rejected with exit 2 and "bad symbol JSON: ..."
+_ONE_COEFF = '"coeffs": [{"k": [0], "m": [[[2.0, 0.0]]]}]}'
+BAD_SYMBOLS = [
+    ("d_float", '{"d": 1.5, "s": 1, "r": 1, ' + _ONE_COEFF),
+    ("s_bool", '{"d": 1, "s": true, "r": 1, ' + _ONE_COEFF),
+    ("k_float", '{"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [0], "m": [[[2.0, 0.0]]]}, '
+                '{"k": [0.7], "m": [[[-1.0, 0.0]]]}]}'),
+    ("k_bool", '{"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [true], "m": [[[2.0, 0.0]]]}]}'),
+    ("k_twice", '{"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [1], "m": [[[2.0, 0.0]]]}, '
+                '{"k": [1], "m": [[[-1.0, 0.0]]]}]}'),
+]
+_RAW.update({f"symbol_{name}.json": text for name, text in BAD_SYMBOLS})
+
 # each rejected with exit 2 and "bad scaling JSON: ..."
 BAD_SCALINGS = [
     ("values_list", '{"form":"table","values":[1,2]}'),
@@ -311,6 +325,17 @@ def _commands():
         ("example3_oversized", ["example", "3", "--N", "100000", "--n", "33"]),
         ("example2_with_N", ["example", "2", "--n", "5", "--N", "4"]),
         ("example4_with_bc", ["example", "4", "--n", "5", "--bc", "periodic"]),
+    ]
+    for name, _ in BAD_SYMBOLS:
+        bad.append((f"{name}_symbol", ["build", "--kind", "toeplitz", "--symbol",
+                                       _IN + f"symbol_{name}.json", "--n", "3"]))
+    bad += [
+        ("tau_eps_nan", ["build", "--kind", "tau", "--symbol", _IN + "f1.json", "--n", "4",
+                         "--eps", "nan"]),
+        # the general eigensolve is capped at order 64: n <= 64 for example 2, and
+        # 2(n - 1) <= 64, so n <= 33, for example 3
+        ("example2_n65", ["example", "2", "--n", "65"]),
+        ("example3_n34", ["example", "3", "--N", "4", "--n", "34"]),
     ]
     return cmds + [("bad_" + name, argv) for name, argv in bad]
 

@@ -21,7 +21,11 @@ def test_command_set_reruns_are_byte_identical(tmp_path):
     first = cli_command_set.run(tmp_path / "a")
     second = cli_command_set.run(tmp_path / "b")
     assert first == second
-    assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+    tree = _tree(tmp_path / "a")
+    assert tree == _tree(tmp_path / "b")
+    # the set shows every warning on stderr; no command may raise one
+    assert [path for path, text in tree.items()
+            if path.endswith("_stderr.txt") and b"Warning:" in text] == []
     # success, malformed input and bad arguments all occur; exit 1 is an uncaught error
     assert {0, 2, 3} <= set(first.values())
     assert [name for name, code in first.items() if code == 1] == []

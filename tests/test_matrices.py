@@ -166,8 +166,9 @@ class TestTau:
         assert np.allclose(got, x.T @ x, atol=1e-13)
 
     def test_corner_weight_bounds(self):
-        with pytest.raises(ValueError):
-            tau_matrix(second_diff(), 2.0, 0, 4)
+        for eps, phi in [(2.0, 0), (np.nan, 0), (0, np.nan), (-np.inf, 0)]:
+            with pytest.raises(ValueError, match=r"corner weights must lie in \[-1, 1\]"):
+                tau_matrix(second_diff(), eps, phi, 4)
 
     def test_differs_from_toeplitz_only_in_corners(self):
         rng = np.random.default_rng(54)

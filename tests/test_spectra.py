@@ -11,6 +11,8 @@ from momsym import (LaurentSymbol, NumericError, Spectrum, circulant,
                     eig_hermitian, fourier_sum, identity_rect,
                     singular_values, tau_matrix, toeplitz)
 from momsym.examples import h2xn_dirichlet_neumann
+from momsym.spectra import _real_part
+from momsym.symbols import _tensor_grid
 
 TAU_PAIRS = [(e, p) for e in (-1, 0, 1) for p in (-1, 0, 1)]
 
@@ -323,6 +325,25 @@ class TestFourierSum:
         with pytest.raises(ValueError):
             fourier_sum(LaurentSymbol({0: np.eye(2)}), 3, 0.0)
 
+    def test_matches_coefficient_loop(self):
+        # the loop fourier_sum ran before it evaluated the truncated symbol
+        def loop(f, n, theta):
+            total = 0j
+            for (k,), m in f.coeffs.items():
+                if abs(k) <= n - 1:
+                    total += complex(m[0, 0]) * np.exp(1j * k * float(theta))
+            return total
+
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            ks = rng.choice(np.arange(-6, 7), size=rng.integers(1, 8), replace=False)
+            f = LaurentSymbol({int(k): complex(*rng.normal(size=2)) for k in ks})
+            for n in (1, 3, 7):
+                theta = rng.uniform(-math.pi, math.pi)
+                got = fourier_sum(f, n, theta)
+                assert isinstance(got, complex)
+                assert abs(got - loop(f, n, theta)) <= 4e-15
+
 
 class TestDistribution:
     def test_trace_identity_gap_is_zero(self):
@@ -374,13 +395,66 @@ class TestDistribution:
 
     def test_rejects_complex_symbol(self):
         spec = eig_hermitian(np.eye(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             distribution_test(spec, LaurentSymbol({1: 1.0}))
 
     def test_unknown_test_function(self):
         spec = eig_hermitian(np.eye(3))
         with pytest.raises(ValueError):
             distribution_test(spec, second_diff(), f_id="sine")
+
+    @staticmethod
+    def _reference_integral_mean(f, f_id, kind):
+        """integral_mean as distribution_test computed it with _real_part and eigvalsh."""
+        F = {"abs_power_1": np.abs, "abs_power_2": lambda x: np.abs(x) ** 2}[f_id]
+        axis = -math.pi + 2 * math.pi * (np.arange(512) + 0.5) / 512
+        samples = f.sample(_tensor_grid([axis] * f.d))
+        if f.is_scalar():
+            vals = _real_part(samples[:, 0, 0])
+        else:
+            vals = np.linalg.eigvalsh(samples).ravel()
+        return float(np.mean(F(np.abs(vals) if kind == "singular" else vals)))
+
+    @staticmethod
+    def _hermitian_symbol(rng, d, s):
+        """c_{-k} = c_k^H, so every sample is Hermitian up to rounding."""
+        c0 = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        coeffs = {(0,) * d: c0 + c0.conj().T}
+        for k in [(1,), (2,)] if d == 1 else [(1, 0), (0, 1), (1, -1)]:
+            c = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+            coeffs[k], coeffs[tuple(-v for v in k)] = c, c.conj().T
+        return LaurentSymbol(coeffs, d=d, s=s, r=s)
+
+    def test_scalar_means_match_real_part_path_bitwise(self):
+        rng = np.random.default_rng(78)
+        spec = {"hermitian_eig": eig_hermitian(np.diag([-1.0, 0.5, 2.0])),
+                "singular": singular_values(np.diag([0.5, 2.0, 3.0]))}
+        for d in (1, 2):
+            for _ in range(4):
+                f = self._hermitian_symbol(rng, d, 1)
+                for f_id in ("abs_power_1", "abs_power_2"):
+                    for kind, sp in spec.items():
+                        rep = distribution_test(sp, f, f_id=f_id)
+                        assert rep.integral_mean == self._reference_integral_mean(f, f_id, kind)
+
+    def test_hermitian_2x2_means_match_eigvalsh(self):
+        rng = np.random.default_rng(79)
+        spec = eig_hermitian(np.eye(4))
+        for d in (1, 2):
+            for _ in range(2):
+                f = self._hermitian_symbol(rng, d, 2)
+                for f_id in ("abs_power_1", "abs_power_2"):
+                    want = self._reference_integral_mean(f, f_id, "hermitian_eig")
+                    got = distribution_test(spec, f, f_id=f_id).integral_mean
+                    assert abs(got - want) <= 1e-13
+
+    @pytest.mark.parametrize("f", [
+        LaurentSymbol({0: [[1.0, 1.0], [0.0, 1.0]]}),
+        LaurentSymbol({0: [[1.0, 2.0, 3.0]]}),
+    ], ids=["non_normal_2x2", "rect_1x3"])
+    def test_non_hermitian_matrix_symbol_refused(self, f):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            distribution_test(eig_hermitian(np.eye(3)), f)
 
     def test_abs_power_2_gap_at_512_midpoints(self):
         f = second_diff()

@@ -573,6 +573,21 @@ class TestSerialization:
         with pytest.raises(ParseError):
             LaurentSymbol.from_json({"d": 1, "coeffs": "nope"})
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"d": 1.5}, "d, s and r must be integers, got 1.5, 1, 1"),
+        ({"s": True}, "d, s and r must be integers, got 1, True, 1"),
+        ({"coeffs": [{"k": [0], "m": [[[2.0, 0.0]]]}, {"k": [0.7], "m": [[[-1.0, 0.0]]]}]},
+         r"each k must be new and hold integers, got \[0.7\]"),
+        ({"coeffs": [{"k": [True], "m": [[[2.0, 0.0]]]}]},
+         r"each k must be new and hold integers, got \[True\]"),
+        ({"coeffs": [{"k": [1], "m": [[[2.0, 0.0]]]}, {"k": [1], "m": [[[-1.0, 0.0]]]}]},
+         r"each k must be new and hold integers, got \[1\]"),
+    ], ids=["d_float", "s_bool", "k_float", "k_bool", "k_twice"])
+    def test_non_integer_or_repeated_index_rejected(self, changes, message):
+        obj = {"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [0], "m": [[[2.0, 0.0]]]}], **changes}
+        with pytest.raises(ParseError, match="^bad symbol JSON: " + message):
+            LaurentSymbol.from_json(obj)
+
     def test_coefficient_beyond_float_range_rejected(self):
         obj = {"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [0], "m": [[[10 ** 400, 0.0]]]}]}
         with pytest.raises(ParseError, match="^bad symbol JSON: int too large"):
