@@ -202,7 +202,7 @@ def read_matrix_json(path):
         rows, cols = obj["rows"], obj["cols"]
         if not all(type(v) is int and v > 0 for v in (rows, cols)):
             raise ValueError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")
-        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
+        flat = np.fromiter((complex(re, im) for re, im in obj["data"]), dtype=complex)
         if not np.all(np.isfinite(flat)):
             raise ValueError("non-finite entry")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,

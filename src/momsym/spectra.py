@@ -1,9 +1,9 @@
 """Desk-scale eigenvalue and singular-value routines plus distribution checks.
 
-Wraps dense solves in a small Spectrum type, provides truncated Fourier
-sums, and measures how closely an empirical spectrum follows the density
-of a symbol: the mean of a test function over the computed values against
-its normalized integral over the symbol's domain.
+Wraps dense and tridiagonal solves in a small Spectrum type, provides
+truncated Fourier sums, and measures how closely an empirical spectrum
+follows the density of a symbol: the mean of a test function over the
+computed values against its normalized integral over the symbol's domain.
 
 It owns the rules all comparisons share: one order for exact spectra and
 symbol samples before index-by-index pairing, one test for values real to
@@ -14,6 +14,7 @@ samples (_eig_general_values) and one JSON encoding of values.
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ from .symbols import LaurentSymbol, _tensor_grid
 
 _HERM_TOL = 1e-10
 _GENERAL_MAX_ORDER = 64
+# The order from which a real tridiagonal solve first imports scipy.linalg for
+# LAPACK stev.  On a 2-vCPU host (numpy 2.4.6, scipy 1.17.1, OpenBLAS) the
+# import took 0.27-0.34 s and 28 MiB; the dense real solve of a tau matrix took
+# 0.31 s at n=1535, 0.36 s at 1663 and 0.70 s at 2047, against 0.06, 0.06 and
+# 0.10 s for stev, so from about n=1600 one solve pays for the import.
+_STEV_IMPORT_ORDER = 1600
 
 
 def _rounding_tol(values):
@@ -109,6 +116,49 @@ def _as_square(a, dtype=complex):
     return a
 
 
+def _hermitian_average(x, xh):
+    """0.5 * (x + xh) after checking that max|x - xh| is finite and within 1e-10."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported just below
+        dev = np.max(np.abs(x - xh), initial=0.0)
+    if not np.isfinite(dev):
+        raise NumericError("matrix has NaN or infinite entries")
+    if dev > _HERM_TOL:
+        raise ValueError("matrix is not Hermitian to 1e-10")
+    return 0.5 * (x + xh)
+
+
+def _band_solver(n):
+    """scipy's eigvalsh_tridiagonal once importing it pays off or is paid; else None."""
+    if n < _STEV_IMPORT_ORDER and "scipy.linalg" not in sys.modules:
+        return None
+    try:
+        from scipy.linalg import eigvalsh_tridiagonal
+    except ImportError:
+        return None
+    return eigvalsh_tridiagonal
+
+
+def _band(a):
+    """a's (sub, main, super) diagonals if no nonzero lies off them and no -0.0 on the main one.
+
+    The dense solve's Householder reduction adds zeros to the matrix, which turns
+    some -0.0 diagonal entries into 0.0 (from order 33, where LAPACK blocks it) and
+    so flips the sign of an exactly zero eigenvalue; such input stays dense.
+    """
+    band = [np.diagonal(a, k) for k in (-1, 0, 1)]
+    mid = band[1]
+    if np.count_nonzero(a) != sum(map(np.count_nonzero, band)) or np.signbit(mid[mid == 0]).any():
+        return None
+    return band
+
+
+def _eigvalsh_band(band, solve):
+    """Eigenvalues of a real tridiagonal matrix from its diagonals, by LAPACK stev."""
+    n = len(band[1])
+    h = _hermitian_average(np.concatenate(band), np.concatenate(band[::-1]))
+    return solve(h[n - 1:2 * n - 1], h[:n - 1], lapack_driver="stev", check_finite=False)
+
+
 def eig_hermitian(a, vectors=False):
     """Ascending real eigenvalues of a Hermitian matrix, optionally with vectors.
 
@@ -117,20 +167,22 @@ def eig_hermitian(a, vectors=False):
     itself runs on the Hermitian average.  Input whose imaginary part is zero
     everywhere is checked and solved in float64: on tridiagonal input the
     values are bit-identical to the complex solve, as both LAPACK drivers
-    finish on the same tridiagonal form.  With vectors=True, real input gets
-    real eigenvectors (columns); no caller inside momsym asks for vectors.
+    finish on the same tridiagonal form.  Real tridiagonal input without
+    vectors is checked on its three diagonals and solved by LAPACK stev, which
+    ends in the same dsterf and so gives the same bits, once scipy.linalg is
+    loaded; it is imported from order _STEV_IMPORT_ORDER on, and without scipy
+    the solve stays dense.  With vectors=True, real input gets real
+    eigenvectors (columns); no caller inside momsym asks for vectors.
     """
     a = np.asarray(a)
     real = not (np.iscomplexobj(a) and a.imag.any())
     a = _as_square(a.real if real else a, float if real else complex)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported just below
-        dev = np.max(np.abs(a - a.conj().T), initial=0.0)
-    if not np.isfinite(dev):
-        raise NumericError("matrix has NaN or infinite entries")
-    if dev > _HERM_TOL:
-        raise ValueError("matrix is not Hermitian to 1e-10")
-    h = 0.5 * (a + a.conj().T)
+    solve = _band_solver(a.shape[0]) if real and not vectors and a.size else None
+    band = _band(a) if solve is not None else None
     try:
+        if band is not None:
+            return Spectrum(_eigvalsh_band(band, solve), "hermitian_eig")
+        h = _hermitian_average(a, a.conj().T)
         if vectors:
             w, v = np.linalg.eigh(h)
             return Spectrum(w, "hermitian_eig"), v

@@ -290,6 +290,22 @@ _FORM_KEYS = {"one": (), "inverse_power": ("p", "base"), "ratio_N_over_n2": (),
               "table": ("values", "class_tag"), "product": ("factors",)}
 
 
+def _size_text(size):
+    """The JSON key of a scaling-table size: its indices joined by commas."""
+    return ",".join(map(str, size))
+
+
+def _size_key(text):
+    """The size a scaling-table key names; only its _size_text is accepted.
+
+    So "07" or " 7" cannot stand for 7, and no two keys name one size.
+    """
+    size = tuple(map(int, text.split(",")))
+    if _size_text(size) != text:
+        raise ValueError(f"table key {text!r} is not written as {_size_text(size)!r}")
+    return size
+
+
 class CoefficientScaling:
     """A size-dependent scalar weight g(n) with a limit-class tag.
 
@@ -410,7 +426,7 @@ class CoefficientScaling:
             return {"form": "product", "factors": [g.to_json() for g in self._factors]}
         if self.form == "table":
             return {"form": "table", "class_tag": self.class_tag,
-                    "values": {",".join(map(str, k)): v for k, v in sorted(self.values.items())}}
+                    "values": {_size_text(k): v for k, v in sorted(self.values.items())}}
         return {"form": self.form}
 
     @classmethod
@@ -427,7 +443,7 @@ class CoefficientScaling:
                     raise ValueError("a product needs at least one factor")
                 return reduce(cls.multiply, factors)
             if isinstance(args.get("values"), dict):
-                args["values"] = {tuple(map(int, k.split(","))): x for k, x in args["values"].items()}
+                args["values"] = {_size_key(k): x for k, x in args["values"].items()}
             return cls(form, **args)
         except ParseError:
             raise

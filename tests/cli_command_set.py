@@ -107,6 +107,9 @@ BAD_SCALINGS = [
     ("inf_value", '{"form":"table","values":{"7":Infinity}}'),
     ("empty_product", '{"form":"product","factors":[]}'),
     ("extra_key", '{"form":"inverse_power","p":2,"base":"n","class_tag":"constant"}'),
+    # table keys must be written as to_json writes sizes
+    ("table_key_repeated", '{"form":"table","values":{"7":1.0,"07":2.0}}'),
+    ("table_key_space", '{"form":"table","values":{" 7":1.0}}'),
 ]
 
 # valid scalings whose value at n = 7 overflows the float range; exit 4

@@ -359,7 +359,9 @@ class TestCompareCommand:
                    "nan_value": "table values must be finite",
                    "inf_value": "table values must be finite",
                    "empty_product": "a product needs at least one factor",
-                   "extra_key": "form 'inverse_power' takes no key 'class_tag'"}[name]
+                   "extra_key": "form 'inverse_power' takes no key 'class_tag'",
+                   "table_key_repeated": "table key '07' is not written as '7'",
+                   "table_key_space": "table key ' 7' is not written as '7'"}[name]
         rc = cli.main(["compare", "--symbol", f1_path, "--scaling", text, "--n", "7",
                        "--grid", "tau:0,0", "--out", str(tmp_path)])
         assert rc == 2

@@ -1,6 +1,8 @@
 import os
+import sys
 
 import numpy as np
+import pytest
 
 import cli_command_set
 
@@ -32,7 +34,7 @@ def test_command_set_reruns_are_byte_identical(tmp_path):
     assert first["bad_nan_csv_singular"] == 2 and first["bad_s0r0_symbol"] == 2
 
 
-def test_command_set_matches_manifest(tmp_path):
+def _check_manifest(tmp_path):
     with open(MANIFEST) as fh:
         lines = fh.read().splitlines()
     made_on = [line for line in lines if line.startswith("#")]
@@ -49,3 +51,15 @@ def test_command_set_matches_manifest(tmp_path):
     assert not differ, (
         f"{len(differ)} paths differ from tests/cli_command_set.sha256 (CPU SIMD here: "
         f"{np.show_config(mode='dicts')['SIMD Extensions']['found']}):\n" + "\n".join(differ))
+
+
+def test_command_set_matches_manifest(tmp_path, monkeypatch):
+    # the dense route: importing scipy.linalg fails, so no solve goes to LAPACK stev
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    _check_manifest(tmp_path)
+
+
+def test_command_set_matches_manifest_on_band_route(tmp_path):
+    # with scipy.linalg loaded, every real tridiagonal solve of any order goes to LAPACK stev
+    pytest.importorskip("scipy.linalg")
+    _check_manifest(tmp_path)

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import tempfile
 import tracemalloc
 from functools import reduce
@@ -404,6 +406,24 @@ class TestMatrixIO:
         path.write_text('{"rows":2,"cols":2,"data":[[1,0]]}')
         with pytest.raises(ParseError, match="has 1 entries, expected 4"):
             read_matrix_json(path)
+
+    @pytest.mark.parametrize("data", [
+        '[[1.0,-0.0],[-0.0,3e-310],[-2,5]]', '[[1.0]]', '[[1.0,2.0,3.0]]', '[["a",0]]',
+        '[[null,0]]', '[[1%s,0]]' % ("0" * 400), '[{"a":1,"b":2}]', '[5]', '[true]'],
+        ids=["ok", "short", "long", "string", "null", "huge", "dict", "int", "bool"])
+    def test_json_reader_matches_per_entry_list(self, tmp_path, data):
+        # the reader streams entries into the array; a list of complex() per entry is the reference
+        entries = json.loads(data)
+        path = tmp_path / "m.json"
+        path.write_text('{"rows":1,"cols":%d,"data":%s}' % (len(entries), data))
+        try:
+            want = np.array([complex(x, y) for x, y in entries], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            with pytest.raises(ParseError, match=re.escape(f"{path}: {exc}")) as info:
+                read_matrix_json(path)
+            assert type(info.value.__cause__) is type(exc)
+        else:
+            assert read_matrix_json(path).tobytes() == want.reshape(1, -1).tobytes()
 
     @pytest.mark.parametrize("z, text", [
         (complex(0.0, -0.0), "0.0-0.0j"), (complex(-0.0, 0.0), "-0.0+0.0j"),

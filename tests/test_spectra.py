@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momsym.spectra as spectra
 from momsym import (LaurentSymbol, NumericError, Spectrum, circulant,
                     circulant_grid, distribution_test, eig_general_small,
                     eig_hermitian, fourier_sum, identity_rect,
@@ -174,17 +178,124 @@ class TestRealArithmetic:
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_solver_sees_float64_for_real_input(self, monkeypatch, vectors):
+        # tridiagonal input reaches stev instead of eigvalsh once scipy.linalg is loaded, which
+        # depends on what ran before; whichever solver ran must see float64 for real input
         seen = []
-        for name in ("eigvalsh", "eigh"):
-            def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-                seen.append(a.dtype)
+        solvers = [(np.linalg, "eigvalsh"), (np.linalg, "eigh")]
+        if "scipy.linalg" in sys.modules:
+            solvers.append((sys.modules["scipy.linalg"], "eigvalsh_tridiagonal"))
+        for module, name in solvers:
+            def spy(a, *args, _solve=getattr(module, name), **kwargs):
+                seen.append(np.result_type(a, *args))
                 return _solve(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, spy)
+            monkeypatch.setattr(module, name, spy)
         real = tau_matrix(second_diff(), 0, 1, 6)
         herm = np.array([[2.0, 1j], [-1j, 2.0]])
         for a in (real, real.real, [[2, -1], [-1, 2]], herm):
             eig_hermitian(a, vectors=vectors)
         assert seen == [np.float64] * 3 + [np.complex128]
+
+
+def dense_reference(a):
+    """The dense real solve eig_hermitian runs on real input without scipy."""
+    a = np.asarray(a, dtype=float)
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
+
+
+@st.composite
+def band_cases(draw):
+    """Real symmetric tridiagonals with repeated, clustered or split spectra and signed zeros."""
+    n = draw(st.integers(1, 40))
+    diag = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0]) | _entries, min_size=n, max_size=n))
+    off = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-300, 1e-17, 1e-8]) | _entries,
+                        min_size=n - 1, max_size=n - 1))
+    a = np.full((n, n), draw(st.sampled_from([0.0, -0.0])))
+    a[np.diag_indices(n)] = diag
+    a[np.arange(n - 1), np.arange(1, n)] = off
+    a[np.arange(1, n), np.arange(n - 1)] = off
+    return a
+
+
+class TestBandRoute:
+    """Real tridiagonal input without vectors goes to LAPACK stev; bits match the dense solve."""
+
+    @pytest.fixture
+    def band_calls(self, monkeypatch):
+        pytest.importorskip("scipy.linalg")
+        calls = []
+
+        def spy(band, solve, _solve_band=spectra._eigvalsh_band):
+            calls.append(len(band[1]))
+            return _solve_band(band, solve)
+        monkeypatch.setattr(spectra, "_eigvalsh_band", spy)
+        return calls
+
+    @settings(deadline=None, max_examples=300)
+    @given(band_cases())
+    def test_random_bytes_match_dense_solve(self, a):
+        pytest.importorskip("scipy.linalg")
+        assert eig_hermitian(a).values.tobytes() == dense_reference(a).tobytes()
+
+    def test_real_tridiagonal_takes_band_route(self, band_calls):
+        f = second_diff()
+        for a in (tau_matrix(f, 1, -1, 9), tau_matrix(f, 1, -1, 9).real, [[3.0]], np.eye(4)):
+            eig_hermitian(a)
+        eig_hermitian(tau_matrix(f, 1, -1, 9), vectors=True)
+        eig_hermitian(circulant(f, 9))  # corners off the band
+        eig_hermitian([[2.0, 1j], [-1j, 2.0]])
+        eig_hermitian(np.diag([1.0, -0.0, 2.0]))  # the dense solve decides a -0.0's sign
+        assert band_calls == [9, 9, 1, 4]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("e,p", TAU_PAIRS)
+    def test_tau_with_shift_at_import_order(self, e, p, offset):
+        pytest.importorskip("scipy.linalg")
+        n = spectra._STEV_IMPORT_ORDER + offset
+        a = tau_matrix(second_diff(), e, p, n) + (1.0 / (n + 1)) ** 2 * np.eye(n)
+        assert eig_hermitian(a).values.tobytes() == dense_reference(a.real).tobytes()
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, -np.inf], [-np.inf, 1.0]], [[np.nan, 1.0], [1.0, 0.0]], [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [1.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, np.inf], [0.0, 0.0, 1.0]],
+        np.diag([1.0, 2.0, -np.inf])], ids=["sub_super_inf", "diag_nan", "diag_inf",
+                                           "super_nan", "super_inf", "last_diag_inf"])
+    def test_non_finite_band_raises(self, band_calls, a):
+        with pytest.raises(NumericError, match="matrix has NaN or infinite entries"):
+            eig_hermitian(a)
+        assert band_calls == [len(a)]
+
+    def test_non_hermitian_band_raises(self, band_calls):
+        a = tau_matrix(second_diff(), 0, 0, 5).real
+        a[3, 2] += 2e-10
+        with pytest.raises(ValueError, match="matrix is not Hermitian to 1e-10"):
+            eig_hermitian(a)
+        a[3, 2] -= 1.5e-10  # within the tolerance the average is solved
+        assert eig_hermitian(a).values.tobytes() == dense_reference(a).tobytes()
+        assert band_calls == [5, 5]
+
+    @pytest.mark.parametrize("n", [7, spectra._STEV_IMPORT_ORDER])
+    def test_dense_fallback_without_scipy(self, monkeypatch, band_calls, n):
+        a = tau_matrix(second_diff(), -1, 1, n) + (1.0 / (n + 1)) ** 2 * np.eye(n)
+        want = dense_reference(a.real).tobytes()
+        assert eig_hermitian(a).values.tobytes() == want
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # the import raises ImportError
+        dense = []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda h, _solve=np.linalg.eigvalsh: dense.append(h.dtype) or _solve(h))
+        assert eig_hermitian(a).values.tobytes() == want
+        assert band_calls == [n] and dense == [np.float64]
+
+    def test_import_only_from_import_order(self):
+        pytest.importorskip("scipy.linalg")
+        code = ("import sys; import numpy as np; import momsym.spectra as s\n"
+                "def tri(n): return np.eye(n) * 2 - np.eye(n, k=1) - np.eye(n, k=-1)\n"
+                "s.eig_hermitian(tri(s._STEV_IMPORT_ORDER - 1))\n"
+                "print('scipy.linalg' in sys.modules)\n"
+                "s.eig_hermitian(tri(s._STEV_IMPORT_ORDER))\n"
+                "print('scipy.linalg' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestExactToRounding:

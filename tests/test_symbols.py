@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -418,6 +419,24 @@ class TestScalingAlgebra:
     def test_json_cannot_set_factors(self, obj):
         with pytest.raises(ParseError, match="takes no key '_factors'"):
             CoefficientScaling.from_json(obj)
+
+    @pytest.mark.parametrize("values,key,text", [
+        ({"7": 1.0, "07": 2.0}, "07", "7"),
+        ({"07": 2.0, "7": 1.0}, "07", "7"),
+        ({" 7": 1.0}, " 7", "7"),
+        ({"+7": 1.0}, "+7", "7"),
+        ({"-0": 1.0}, "-0", "0"),
+        ({"7_0": 1.0}, "7_0", "70"),
+        ({"3, 4": 1.0}, "3, 4", "3,4"),
+    ], ids=["repeat", "repeat_first", "space", "plus", "minus_zero", "underscore", "pair_space"])
+    def test_table_key_must_be_size_text(self, values, key, text):
+        with pytest.raises(ParseError, match=re.escape(
+                f"bad scaling JSON: table key {key!r} is not written as {text!r}")):
+            CoefficientScaling.from_json({"form": "table", "values": values})
+
+    def test_table_keys_as_written_are_read(self):
+        g = CoefficientScaling.from_json({"form": "table", "values": {"7": 1.0, "3,4": 2.0}})
+        assert g.values == {(7,): 1.0, (3, 4): 2.0}
 
 
 # nested pairwise products of inverse powers, as (p, base) leaves and [a, b] pairs
