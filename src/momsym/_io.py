@@ -1,4 +1,4 @@
-"""Small file-output helpers: atomic writes and stable number formatting."""
+"""Small file helpers: atomic writes, stable number formatting and strict JSON objects."""
 
 import math
 import os
@@ -29,3 +29,13 @@ def fmt_complex(z):
     z = complex(z)
     sign = "-" if math.isnan(z.imag) or math.copysign(1, z.imag) < 0 else "+"
     return f"{fmt_real(z.real)}{sign}{fmt_real(abs(z.imag))}j"
+
+
+def unique_keys(pairs):
+    """json object_pairs_hook: the object as a dict; ValueError on a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj

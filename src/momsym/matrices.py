@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_complex, fmt_real
+from ._io import atomic_write_text, fmt_complex, fmt_real, unique_keys
 from .errors import ParseError
 from .symbols import LaurentSymbol, _tridiagonal_coeffs
 
@@ -198,7 +198,7 @@ def write_matrix_json(a, path):
 def read_matrix_json(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique_keys)
         rows, cols = obj["rows"], obj["cols"]
         if not all(type(v) is int and v > 0 for v in (rows, cols)):
             raise ValueError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")

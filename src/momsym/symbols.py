@@ -10,10 +10,12 @@ univariate symbol into an equivalent block-valued one.
 """
 
 import json
+import numbers
 from functools import reduce
 
 import numpy as np
 
+from ._io import unique_keys
 from .errors import NumericError, ParseError
 
 PRUNE_TOL = 1e-13
@@ -27,6 +29,13 @@ def _as_key(k, d=None):
     if d is not None and len(key) != d:
         raise ValueError(f"multi-index {key} has arity {len(key)}, expected {d}")
     return key
+
+
+def _number(x, what):
+    """x when it is a real number; ValueError for anything else, bools included."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what} must be numbers, got {x!r}")
+    return x
 
 
 def _as_coeff(value):
@@ -206,7 +215,9 @@ class LaurentSymbol:
                 key = tuple(entry["k"])
                 if not all(type(v) is int for v in key) or key in coeffs:
                     raise ValueError(f"each k must be new and hold integers, got {entry['k']!r}")
-                coeffs[key] = np.array([[complex(re, im) for re, im in row] for row in entry["m"]])
+                coeffs[key] = np.array([[complex(_number(re, "coefficient entries"),
+                                                 _number(im, "coefficient entries"))
+                                         for re, im in row] for row in entry["m"]])
             if not all(np.all(np.isfinite(m)) for m in coeffs.values()):
                 raise ValueError("non-finite coefficient")
             return cls(coeffs, d=d, s=s, r=r)
@@ -340,7 +351,8 @@ class CoefficientScaling:
         elif form == "table":
             if not isinstance(values, dict):
                 raise ValueError("table values must map sizes to numbers")
-            self.values = {_as_key(k): float(v) for k, v in values.items()}
+            self.values = {_as_key(k): float(_number(v, "table values"))
+                           for k, v in values.items()}
             if not np.all(np.isfinite(list(self.values.values()))):
                 raise ValueError("table values must be finite")
             self._limit = (0, _TAG_CODE[class_tag or "decaying"])
@@ -637,8 +649,8 @@ def load_symbol(path):
     """Read a LaurentSymbol from a JSON file."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            obj = json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"cannot read symbol file {path}: {exc}") from exc
     return LaurentSymbol.from_json(obj)
 
@@ -650,10 +662,10 @@ def parse_scaling(text):
         try:
             with open(text) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read scaling file {text!r}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:
         raise ParseError(f"bad scaling JSON: {exc}") from exc
     return CoefficientScaling.from_json(obj)

@@ -94,8 +94,15 @@ BAD_SYMBOLS = [
     ("k_bool", '{"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [true], "m": [[[2.0, 0.0]]]}]}'),
     ("k_twice", '{"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [1], "m": [[[2.0, 0.0]]]}, '
                 '{"k": [1], "m": [[[-1.0, 0.0]]]}]}'),
+    ("m_bool", '{"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [0], "m": [[[true, false]]]}]}'),
 ]
 _RAW.update({f"symbol_{name}.json": text for name, text in BAD_SYMBOLS})
+
+# a symbol and a matrix JSON that repeat a key (the parser would keep the last); exit 2
+_RAW.update({
+    "key_repeated_symbol.json": '{"d": 2, "d": 1, "s": 1, "r": 1, ' + _ONE_COEFF,
+    "key_repeated_matrix.json": '{"rows":5,"rows":1,"cols":1,"data":[[1.0,0.0]]}',
+})
 
 # each rejected with exit 2 and "bad scaling JSON: ..."
 BAD_SCALINGS = [
@@ -110,6 +117,10 @@ BAD_SCALINGS = [
     # table keys must be written as to_json writes sizes
     ("table_key_repeated", '{"form":"table","values":{"7":1.0,"07":2.0}}'),
     ("table_key_space", '{"form":"table","values":{" 7":1.0}}'),
+    ("key_repeated", '{"form":"inverse_power","p":2,"p":3,"base":"n"}'),
+    # table values must be JSON numbers, which float() alone would not require
+    ("value_string", '{"form":"table","values":{"7":"1.5"}}'),
+    ("value_bool", '{"form":"table","values":{"7":true}}'),
 ]
 
 # valid scalings whose value at n = 7 overflows the float range; exit 4
@@ -339,6 +350,9 @@ def _commands():
         # 2(n - 1) <= 64, so n <= 33, for example 3
         ("example2_n65", ["example", "2", "--n", "65"]),
         ("example3_n34", ["example", "3", "--N", "4", "--n", "34"]),
+        ("symbol_key_repeated", ["spectrum", "--symbol", _IN + "key_repeated_symbol.json",
+                                 "--n", "3"]),
+        ("matrix_key_repeated", ["spectrum", "--matrix", _IN + "key_repeated_matrix.json"]),
     ]
     return cmds + [("bad_" + name, argv) for name, argv in bad]
 

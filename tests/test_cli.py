@@ -131,6 +131,17 @@ class TestBuildCommand:
                        "--n", "4", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--symbol", "--scaling"])
+    def test_file_that_is_not_utf8_is_parse_error(self, tmp_path, f1_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        source = ["--symbol", str(bad)] if flag == "--symbol" else ["--symbol", f1_path,
+                                                                   "--scaling", str(bad)]
+        rc = cli.main(["compare", *source, "--n", "7", "--grid", "tau:0,0",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "codec can't decode byte 0xff" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_hermitian_from_matrix_file(self, tmp_path, f1_path):
@@ -361,7 +372,10 @@ class TestCompareCommand:
                    "empty_product": "a product needs at least one factor",
                    "extra_key": "form 'inverse_power' takes no key 'class_tag'",
                    "table_key_repeated": "table key '07' is not written as '7'",
-                   "table_key_space": "table key ' 7' is not written as '7'"}[name]
+                   "table_key_space": "table key ' 7' is not written as '7'",
+                   "key_repeated": "repeated key 'p'",
+                   "value_string": "table values must be numbers, got '1.5'",
+                   "value_bool": "table values must be numbers, got True"}[name]
         rc = cli.main(["compare", "--symbol", f1_path, "--scaling", text, "--n", "7",
                        "--grid", "tau:0,0", "--out", str(tmp_path)])
         assert rc == 2

@@ -6,8 +6,10 @@ import pytest
 
 import momsym.examples as examples
 import momsym.matrices as matrices
-from momsym import (eig_general_small, example1, example2, example3, example4,
-                    run_example, toeplitz, LaurentSymbol)
+from momsym import (CoefficientScaling, GridSpec, LaurentSymbol, MomentarySymbol, Spectrum,
+                    compare, eig_general_small, example1, example2, example3, example4,
+                    identity_rect, multilevel_toeplitz, run_example,
+                    sample_spectrum_approx, toeplitz)
 
 
 class TestExample1:
@@ -77,6 +79,52 @@ class TestExample2:
             < rep.reports["gram_glt"].max_error
 
 
+def _kron_example3(N, n):
+    """example3 with its matrix assembled from Kronecker products with identities and
+    its structural reference built as two builds, a scale and a sum: the reference
+    whose report text the one-build path must reproduce."""
+    S_A, S_B, D_A = examples.S_A, examples.S_B, examples.D_A
+    m, c = n - 1, N / (12.0 * n * n)
+    t2p = toeplitz(LaurentSymbol({0: 2.0, 1: 0.5, -1: 0.5}), m)
+    t1m = toeplitz(LaurentSymbol({0: 1.0, 1: -0.5, -1: -0.5}), m)
+    a_blk = c * np.kron(S_A, t2p) + np.kron(D_A, t1m)
+    b_blk = c * np.kron(S_B, t2p)
+    full = np.kron(np.eye(N), a_blk) + np.kron(np.eye(N, k=-1), b_blk)
+    rep = examples.ExampleReport("3", {"N": N, "n": n})
+    rep.notes["order"] = full.shape[0]
+    perm = np.arange(2 * N * m).reshape(N, 2, m).transpose(0, 2, 1).ravel()
+    reordered = full[np.ix_(perm, perm)]
+    f1 = LaurentSymbol({(0,) + k: v for k, v in examples._F1_CELL.coeffs.items()})
+    f2 = LaurentSymbol({(0, 0): S_A / 6, (0, 1): S_A / 24, (0, -1): S_A / 24,
+                        (1, 0): S_B / 6, (1, 1): S_B / 24, (1, -1): S_B / 24})
+    reference = multilevel_toeplitz(f1, (N, m)) \
+        + (N / float(n) ** 2) * multilevel_toeplitz(f2, (N, m))
+    err = float(np.max(np.abs(reordered - reference)))
+    rep.flags["reordering_yields_two_level_toeplitz_form"] = err <= 1e-15
+    rep.notes["structural_residual"] = err
+    m27 = np.array([[9.0, 1j * np.sqrt(27.0)], [1j * np.sqrt(27.0), 5.0]])
+    eig_mom = MomentarySymbol([
+        (CoefficientScaling.one(), examples._F1_CELL),
+        (CoefficientScaling.ratio_N_over_n2(),
+         LaurentSymbol({0: m27 / 6, 1: m27 / 24, -1: m27 / 24}))])
+    rep.flags["glt_symbol_is_size_free_part"] = eig_mom.glt_symbol() == examples._F1_CELL
+    exact = Spectrum(np.tile(eig_general_small(full[:2 * m, :2 * m]).values, N), "general_eig")
+    grid = GridSpec.tau(0, 0)
+    for kind, sym in (("momentary", eig_mom.fixed_size((N, n))), ("glt", examples._F1_CELL)):
+        approx = np.tile(np.asarray(sample_spectrum_approx(sym, grid, m), dtype=complex), N)
+        rep.reports[f"eig_{kind}"] = compare(exact, approx, grid=grid, symbol_kind=kind,
+                                             size=(N, n))
+    rep.flags["momentary_samples_match_spectrum"] = \
+        rep.reports["eig_momentary"].max_error <= 1e-8
+    rep.notes["momentary_spectral_error"] = rep.reports["eig_momentary"].max_error
+    rep.notes["glt_spectral_error"] = rep.reports["eig_glt"].max_error
+    return rep
+
+
+def _report_texts(rep):
+    return rep.to_json_text(), {label: r.to_csv_text() for label, r in rep.reports.items()}
+
+
 class TestExample3:
     @pytest.mark.parametrize("N,n", [(2, 4), (3, 5), (4, 8), (16, 33), (24, 33)])
     def test_sweep(self, N, n):
@@ -111,6 +159,22 @@ class TestExample3:
         finally:
             tracemalloc.stop()
         assert peak < 73 * order * order
+
+    def test_peak_memory_per_entry(self):
+        # the assembly, its reordering and the one-build reference, 16 bytes per entry each
+        order = 2 * 8 * 32
+        tracemalloc.start()
+        try:
+            example3(8, 33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * order * order
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 17, 33])
+    def test_reports_match_kron_assembly(self, N, n):
+        assert _report_texts(example3(N, n)) == _report_texts(_kron_example3(N, n))
 
     def test_memory_guard_before_assembly(self, monkeypatch):
         # 72 bytes per entry of the order 2N(n-1): exactly that runs, one byte less is refused
@@ -156,6 +220,20 @@ class TestExample4:
         for grid, side in ((tau_eigen_grid(0, 1, m), -1), (tau_eigen_grid(0, 0, m), 1)):
             samples = np.sort((4 - 4 * np.cos(grid)) + h2 * (6 + 2 * np.cos(grid)))
             assert np.all(side * (samples - exact) >= -1e-12)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 15, 33, 63, 127])
+    def test_reports_match_identity_products(self, n, monkeypatch):
+        # the reference cuts each rectangular build by I_(n x n+1) on the left and
+        # I_((n+1)/2 x (n-1)/2) on the right; example 4 takes the leading n x (n-1)/2 slice
+        want = _report_texts(example4(n))
+        build = examples.multilevel_toeplitz_rect
+
+        def cut(f, n_vec, m_vec):
+            x = build(f, n_vec, m_vec)
+            return identity_rect(n, x.shape[0]) @ x @ identity_rect(x.shape[1], (n - 1) // 2)
+
+        monkeypatch.setattr(examples, "multilevel_toeplitz_rect", cut)
+        assert _report_texts(example4(n)) == want
 
     def test_rejects_even_or_tiny_n(self):
         with pytest.raises(ValueError):

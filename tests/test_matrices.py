@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momsym.matrices as matrices
-from momsym import (LaurentSymbol, ParseError, circulant, circulant_grid,
+from momsym import (LaurentSymbol, ParseError, block_reinterpret, circulant, circulant_grid,
                     circulant_real_transform, fourier_matrix, identity_rect, kron,
                     matrix_to_csv_text, matrix_to_json_text, multilevel_toeplitz,
                     multilevel_toeplitz_rect, read_matrix_csv,
@@ -346,6 +346,83 @@ class TestDiagonalFill:
             build()
 
 
+@st.composite
+def symbol_of(draw, d, s, r, reach=4):
+    """A d-variate s x r symbol with up to five coefficients in -reach..reach."""
+    keys = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * d), max_size=5, unique=True))
+    coeffs = {k: np.array(draw(st.lists(_entries, min_size=s * r, max_size=s * r)),
+                          dtype=complex).reshape(s, r) for k in keys}
+    return LaurentSymbol(coeffs, d=d, s=s, r=r)
+
+
+_shapes = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2))
+_scalars = st.one_of(_floats, st.builds(complex, _floats, _floats))
+
+
+class TestBuilderIdentities:
+    """The algebraic identities of T_n that the builders and scenarios rely on."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_shapes.flatmap(lambda dsr: st.tuples(symbol_of(*dsr), symbol_of(*dsr),
+                                                 st.tuples(*[st.integers(1, 5)] * dsr[0]),
+                                                 st.tuples(*[st.integers(1, 5)] * dsr[0]))),
+           _scalars, _scalars)
+    def test_linear_in_the_symbol(self, case, a, b):
+        f, g, n_vec, m_vec = case
+        got = multilevel_toeplitz_rect(f.scale(a) + g.scale(b), n_vec, m_vec)
+        want = a * multilevel_toeplitz_rect(f, n_vec, m_vec) \
+            + b * multilevel_toeplitz_rect(g, n_vec, m_vec)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=200)
+    @given(kernel_cases())
+    def test_conjugate_transpose_is_build_of_hermitian_symbol(self, case):
+        # T_(n,m)(f)^H = T_(m,n)(f^H) for d-variate s x r symbols; conj() turns the
+        # imaginary part of a zero entry into -0.0, so the match is in value
+        f, n_vec, m_vec = case
+        got = multilevel_toeplitz_rect(f, n_vec, m_vec).conj().T
+        assert np.array_equal(got, multilevel_toeplitz_rect(f.hermitian(), m_vec, n_vec))
+
+    @settings(deadline=None, max_examples=200)
+    @given(_shapes.flatmap(lambda dsr: symbol_of(1, dsr[1], dsr[2], reach=7)),
+           st.integers(1, 3), st.integers(1, 4), st.integers(1, 4))
+    def test_block_reinterpret_regroups_the_build(self, f, s_block, n, m):
+        # T_(n*s)(f) = T_n(f^[s]), also rectangular and for matrix-valued f
+        got = multilevel_toeplitz_rect(block_reinterpret(f, s_block), n, m)
+        want = multilevel_toeplitz_rect(f, n * s_block, m * s_block)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+        *[st.lists(_floats, min_size=k * k, max_size=k * k).map(
+            lambda v, k=k: np.reshape(v, (k, k)))] * 2)), st.integers(1, 6))
+    def test_block_bidiagonal_build_matches_kron_assembly(self, blocks, steps):
+        # the example-3 step matrix: a within a step, b coupling to the previous one.
+        # Only the sign of zeros differs: kron writes 0 * x, the builder writes +0.0
+        a, b = blocks
+        got = toeplitz(LaurentSymbol({0: a, 1: b}), steps)
+        want = (np.kron(np.eye(steps), a) + np.kron(np.eye(steps, k=-1), b)).astype(complex)
+        assert np.array_equal(got, want)
+        differ = got.view(np.float64) != want.view(np.float64)
+        assert np.all(want.view(np.float64)[differ] == 0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_shapes.flatmap(lambda dsr: symbol_of(1, dsr[1], dsr[2])),
+           st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_identity_products_are_slices(self, f, p, q, data):
+        # I_(n x rows) T I_(cols x m) is T[:n, :m].  On real nonnegative builds, which
+        # are what example 4 cuts, it is so bit for bit; on others the product may write
+        # a zero as -0.0
+        x = multilevel_toeplitz_rect(f, p, q)
+        n = data.draw(st.integers(1, x.shape[0]))
+        m = data.draw(st.integers(1, x.shape[1]))
+        nonnegative = np.abs(x)
+        for build, bits in ((x, False), (nonnegative.astype(complex), True)):
+            product = identity_rect(n, x.shape[0]) @ build @ identity_rect(x.shape[1], m)
+            assert np.array_equal(product, build[:n, :m])
+            assert not bits or product.tobytes() == build[:n, :m].tobytes()
+
+
 class TestKron:
     def test_matches_numpy(self):
         rng = np.random.default_rng(56)
@@ -399,6 +476,17 @@ class TestMatrixIO:
         path = tmp_path / "bad.json"
         path.write_text('{"rows": 2}')
         with pytest.raises(ParseError):
+            read_matrix_json(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"rows":5,"rows":1,"cols":1,"data":[[1.0,0.0]]}', "rows"),
+        ('{"rows":1,"cols":1,"data":[[1.0,0.0]],"data":[[2.0,0.0]]}', "data"),
+    ], ids=["rows", "data"])
+    def test_json_repeated_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(
+                f"cannot read matrix JSON {path}: repeated key '{key}'")):
             read_matrix_json(path)
 
     def test_json_entry_count_must_match_header(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from momsym import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                     NumericError, ParseError, block_reinterpret,
                     distribution_test, eig_general_small, eig_hermitian, evaluate_symbol,
-                    fourier_coefficients, interlacing_check,
+                    fourier_coefficients, interlacing_check, load_symbol,
                     momentary_evaluate, momentary_mul, parse_scaling,
                     symbol_add, symbol_hermitian, symbol_mul,
                     symmetrize_tridiagonal, tau_matrix, toeplitz)
@@ -358,6 +358,31 @@ class TestScalingAlgebra:
         with pytest.raises(ParseError):
             parse_scaling('{"form":"wobble"}')
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"form":"inverse_power","p":2,"p":3,"base":"n"}', "p"),
+        ('{"form":"table","values":{"7":1.0,"7":5.0}}', "7"),
+        ('{"form":"product","factors":[{"form":"one","form":"one"}]}', "form"),
+    ], ids=["p", "table_size", "nested"])
+    def test_parse_scaling_refuses_repeated_key(self, text, key):
+        with pytest.raises(ParseError, match=f"^bad scaling JSON: repeated key '{key}'$"):
+            parse_scaling(text)
+
+    def test_load_symbol_refuses_repeated_key(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"d": 2, "d": 1, "s": 1, "r": 1, "coeffs": []}')
+        with pytest.raises(ParseError, match=re.escape(
+                f"cannot read symbol file {path}: repeated key 'd'")):
+            load_symbol(path)
+
+    @pytest.mark.parametrize("value", ["1.5", True, None, [1.0]])
+    def test_table_values_must_be_numbers(self, value):
+        with pytest.raises(ValueError, match="table values must be numbers"):
+            CoefficientScaling.table({7: value})
+
+    def test_table_values_take_numpy_numbers(self):
+        g = CoefficientScaling.table({7: np.float64(0.5), 8: np.int64(2)})
+        assert (g(7), g(8)) == (0.5, 2.0)
+
     def test_tag_is_part_of_identity(self):
         const = CoefficientScaling.table({4: 2.0}, "constant")
         decaying = CoefficientScaling.table({4: 2.0}, "decaying")
@@ -601,7 +626,11 @@ class TestSerialization:
          r"each k must be new and hold integers, got \[True\]"),
         ({"coeffs": [{"k": [1], "m": [[[2.0, 0.0]]]}, {"k": [1], "m": [[[-1.0, 0.0]]]}]},
          r"each k must be new and hold integers, got \[1\]"),
-    ], ids=["d_float", "s_bool", "k_float", "k_bool", "k_twice"])
+        ({"coeffs": [{"k": [0], "m": [[[True, False]]]}]},
+         "coefficient entries must be numbers, got True"),
+        ({"coeffs": [{"k": [0], "m": [[[2.0, "0"]]]}]},
+         "coefficient entries must be numbers, got '0'"),
+    ], ids=["d_float", "s_bool", "k_float", "k_bool", "k_twice", "m_bool", "m_string"])
     def test_non_integer_or_repeated_index_rejected(self, changes, message):
         obj = {"d": 1, "s": 1, "r": 1, "coeffs": [{"k": [0], "m": [[[2.0, 0.0]]]}], **changes}
         with pytest.raises(ParseError, match="^bad symbol JSON: " + message):
