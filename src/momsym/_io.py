@@ -1,7 +1,36 @@
-"""Small file helpers: atomic writes, stable number formatting and strict JSON objects."""
+"""Small file helpers: the one input boundary, atomic writes and stable number formatting."""
 
+import contextlib
+import json
 import math
 import os
+
+from .errors import ParseError
+
+
+def read_text(path):
+    """The whole file at path, decoded as UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def parse_json(text):
+    """json.loads that refuses repeated keys; nesting past the parser's depth is a ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+@contextlib.contextmanager
+def bad_input(prefix):
+    """Re-raise what bad input raises as ParseError(f"{prefix}: {exc}"); a ParseError passes."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ParseError):
+            raise
+        raise ParseError(f"{prefix}: {exc}") from exc
 
 
 def atomic_write_text(path, text):
@@ -31,7 +60,7 @@ def fmt_complex(z):
     return f"{fmt_real(z.real)}{sign}{fmt_real(abs(z.imag))}j"
 
 
-def unique_keys(pairs):
+def _unique_keys(pairs):
     """json object_pairs_hook: the object as a dict; ValueError on a repeated key."""
     obj = {}
     for key, value in pairs:

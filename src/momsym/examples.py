@@ -286,17 +286,20 @@ def example3(N, n):
     if N < 2 or n < 3:
         raise ValueError("need N >= 2 and n >= 3")
     m = n - 1
-    # the assembly, its reordering and the reference peak at 48 bytes per entry of the
-    # order 2Nm, plus lower-order terms (tracemalloc, N = 8, 16 and 32 at n = 33); the
-    # guard stays at 72, so the sizes it refuses do not change
+    # at most two matrices of the order 2Nm live at once (the assembly and its reordering,
+    # then the reordering and the reference): a peak of 32 bytes per entry, plus
+    # lower-order terms (tracemalloc, N = 8, 16 and 32 at n = 33); the guard stays at 72,
+    # so the sizes it refuses do not change
     _refuse_oversized(2 * N * m, 2 * N * m, 72)
     full = _example3_blocks(N, n)
     rep = ExampleReport("3", {"N": N, "n": n})
     rep.notes["order"] = full.shape[0]
+    block = full[:2 * m, :2 * m].copy()
 
     # (step t, dof p, cell x) with x fastest -> (t, x, p) with p fastest
     perm = np.arange(2 * N * m).reshape(N, 2, m).transpose(0, 2, 1).ravel()
     residual = full[np.ix_(perm, perm)]
+    del full
     residual -= multilevel_toeplitz(_example3_symbols().fixed_size((N, n)), (N, m))
     structural_err = float(np.max(np.abs(residual)))
     rep.flags["reordering_yields_two_level_toeplitz_form"] = structural_err <= _EXACT_TOL
@@ -312,7 +315,6 @@ def example3(N, n):
     ])
     rep.flags["glt_symbol_is_size_free_part"] = eig_mom.glt_symbol() == _F1_CELL
 
-    block = full[:2 * m, :2 * m]
     block_spec = eig_general_small(block)
     exact = Spectrum(np.tile(block_spec.values, N), "general_eig")
 

@@ -9,12 +9,11 @@ every one of them by writing each f_k into its diagonal i - j = k: a
 circulant is T_n of its symbol folded mod n, and Z_n is T_n(z + z^(1-n)).
 """
 
-import json
 import os
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt_complex, fmt_real, unique_keys
+from ._io import atomic_write_text, bad_input, fmt_complex, fmt_real, parse_json, read_text
 from .errors import ParseError
 from .symbols import LaurentSymbol, _tridiagonal_coeffs
 
@@ -169,14 +168,11 @@ def _parse_cells(cells):
 
 
 def read_matrix_csv(path):
-    try:
-        with open(path) as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    with bad_input(f"cannot read matrix CSV {path}"):
+        lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
         step = _rows_per_block(lines[0].count(",") + 1) if lines else 1
         blocks = [_parse_cells(",".join(lines[i:i + step]).split(","))
                   for i in range(0, len(lines), step)]
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read matrix CSV {path}: {exc}") from exc
     if not lines or len({ln.count(",") for ln in lines}) > 1:
         raise ParseError(f"ragged or empty matrix CSV {path}")
     a = np.concatenate(blocks).reshape(len(lines), -1)
@@ -196,18 +192,14 @@ def write_matrix_json(a, path):
 
 
 def read_matrix_json(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh, object_pairs_hook=unique_keys)
+    with bad_input(f"cannot read matrix JSON {path}"):
+        obj = parse_json(read_text(path))
         rows, cols = obj["rows"], obj["cols"]
         if not all(type(v) is int and v > 0 for v in (rows, cols)):
             raise ValueError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")
         flat = np.fromiter((complex(re, im) for re, im in obj["data"]), dtype=complex)
         if not np.all(np.isfinite(flat)):
             raise ValueError("non-finite entry")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
-        raise ParseError(f"cannot read matrix JSON {path}: {exc}") from exc
     if len(flat) != rows * cols:
         raise ParseError(f"matrix JSON {path} has {len(flat)} entries, expected {rows * cols}")
     return flat.reshape(rows, cols)

@@ -15,8 +15,8 @@ from functools import reduce
 
 import numpy as np
 
-from ._io import unique_keys
-from .errors import NumericError, ParseError
+from ._io import bad_input, parse_json, read_text
+from .errors import NumericError
 
 PRUNE_TOL = 1e-13
 
@@ -204,7 +204,7 @@ class LaurentSymbol:
 
     @classmethod
     def from_json(cls, obj):
-        try:
+        with bad_input("bad symbol JSON"):
             d, s, r = obj["d"], obj["s"], obj["r"]
             if not all(type(v) is int for v in (d, s, r)):
                 raise ValueError(f"d, s and r must be integers, got {d!r}, {s!r}, {r!r}")
@@ -221,8 +221,6 @@ class LaurentSymbol:
             if not all(np.all(np.isfinite(m)) for m in coeffs.values()):
                 raise ValueError("non-finite coefficient")
             return cls(coeffs, d=d, s=s, r=r)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad symbol JSON: {exc}") from exc
 
 
 def evaluate_symbol(f, theta):
@@ -443,7 +441,7 @@ class CoefficientScaling:
 
     @classmethod
     def from_json(cls, obj):
-        try:
+        with bad_input("bad scaling JSON"):
             args = {**obj}
             form = args.pop("form")
             extra = sorted(set(args) - set(_FORM_KEYS.get(form, ())))
@@ -457,10 +455,6 @@ class CoefficientScaling:
             if isinstance(args.get("values"), dict):
                 args["values"] = {_size_key(k): x for k, x in args["values"].items()}
             return cls(form, **args)
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad scaling JSON: {exc}") from exc
 
 
 class MomentarySymbol:
@@ -560,13 +554,9 @@ class MomentarySymbol:
 
     @classmethod
     def from_json(cls, obj):
-        try:
+        with bad_input("bad momentary symbol JSON"):
             return cls([(CoefficientScaling.from_json(t["scaling"]),
                          LaurentSymbol.from_json(t["symbol"])) for t in obj["terms"]])
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad momentary symbol JSON: {exc}") from exc
 
 
 def momentary_evaluate(m, theta, size):
@@ -647,25 +637,15 @@ def block_reinterpret(f, s_block):
 
 def load_symbol(path):
     """Read a LaurentSymbol from a JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh, object_pairs_hook=unique_keys)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(f"cannot read symbol file {path}: {exc}") from exc
-    return LaurentSymbol.from_json(obj)
+    with bad_input(f"cannot read symbol file {path}"):
+        return LaurentSymbol.from_json(parse_json(read_text(path)))
 
 
 def parse_scaling(text):
     """Parse a CoefficientScaling from inline JSON text or a JSON file path."""
     text = text.strip()
     if not text.startswith("{"):
-        try:
-            with open(text) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read scaling file {text!r}: {exc}") from exc
-    try:
-        obj = json.loads(text, object_pairs_hook=unique_keys)
-    except ValueError as exc:
-        raise ParseError(f"bad scaling JSON: {exc}") from exc
-    return CoefficientScaling.from_json(obj)
+        with bad_input(f"cannot read scaling file {text!r}"):
+            text = read_text(text)
+    with bad_input("bad scaling JSON"):
+        return CoefficientScaling.from_json(parse_json(text))

@@ -131,14 +131,18 @@ class TestBuildCommand:
                        "--n", "4", "--out", str(tmp_path)])
         assert rc == 2
 
-    @pytest.mark.parametrize("flag", ["--symbol", "--scaling"])
+    @pytest.mark.parametrize("flag", ["--symbol", "--scaling", "--matrix.csv", "--matrix.json"])
     def test_file_that_is_not_utf8_is_parse_error(self, tmp_path, f1_path, capsys, flag):
-        bad = tmp_path / "bad.json"
+        flag, _, suffix = flag.partition(".")
+        bad = tmp_path / f"bad.{suffix or 'json'}"
         bad.write_bytes(b"\xff\xfe{}")
-        source = ["--symbol", str(bad)] if flag == "--symbol" else ["--symbol", f1_path,
-                                                                   "--scaling", str(bad)]
-        rc = cli.main(["compare", *source, "--n", "7", "--grid", "tau:0,0",
-                       "--out", str(tmp_path)])
+        if flag == "--matrix":
+            argv = ["spectrum", "--matrix", str(bad)]
+        else:
+            source = ["--symbol", str(bad)] if flag == "--symbol" else ["--symbol", f1_path,
+                                                                       "--scaling", str(bad)]
+            argv = ["compare", *source, "--n", "7", "--grid", "tau:0,0"]
+        rc = cli.main([*argv, "--out", str(tmp_path)])
         assert rc == 2
         assert "codec can't decode byte 0xff" in capsys.readouterr().err
 

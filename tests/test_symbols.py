@@ -374,6 +374,18 @@ class TestScalingAlgebra:
                 f"cannot read symbol file {path}: repeated key 'd'")):
             load_symbol(path)
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"terms": 5}, "bad momentary symbol JSON: 'int' object is not iterable"),
+        ({"terms": [{"symbol": {}}]}, "bad momentary symbol JSON: 'scaling'"),
+        ({"terms": [{"scaling": {"form": "wobble"}, "symbol": {}}]},
+         "bad scaling JSON: unknown scaling form 'wobble'"),
+        ({"terms": [{"scaling": {"form": "one"}, "symbol": {"d": 1}}]},
+         "bad symbol JSON: 's'"),
+    ], ids=["terms_int", "no_scaling", "nested_scaling", "nested_symbol"])
+    def test_momentary_from_json_refuses_with_one_prefix(self, obj, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            MomentarySymbol.from_json(obj)
+
     @pytest.mark.parametrize("value", ["1.5", True, None, [1.0]])
     def test_table_values_must_be_numbers(self, value):
         with pytest.raises(ValueError, match="table values must be numbers"):
