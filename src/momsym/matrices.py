@@ -10,6 +10,7 @@ circulant is T_n of its symbol folded mod n, and Z_n is T_n(z + z^(1-n)).
 """
 
 import os
+import re
 
 import numpy as np
 
@@ -156,22 +157,26 @@ def write_matrix_csv(a, path):
     atomic_write_text(path, matrix_to_csv_text(a))
 
 
-def _parse_cells(cells):
-    """complex() of every cell, called once per distinct cell text in first-seen order."""
+def _parse_cells(cells, parse):
+    """parse(the distinct cell texts in first-seen order) gives their complex values,
+    spread back over every cell; parse runs once per call."""
     first = {}  # cell text -> index of its first occurrence
     where = np.fromiter(map(first.setdefault, cells, range(len(cells))), dtype=np.intp,
                         count=len(cells))
     values = np.empty(len(cells), dtype=complex)
-    values[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = [
-        complex(cell.strip().replace(" ", "")) for cell in first]
+    values[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = parse(list(first))
     return values[where]
+
+
+def _csv_values(texts):
+    return [complex(text.strip().replace(" ", "")) for text in texts]
 
 
 def read_matrix_csv(path):
     with bad_input(f"cannot read matrix CSV {path}"):
         lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
         step = _rows_per_block(lines[0].count(",") + 1) if lines else 1
-        blocks = [_parse_cells(",".join(lines[i:i + step]).split(","))
+        blocks = [_parse_cells(",".join(lines[i:i + step]).split(","), _csv_values)
                   for i in range(0, len(lines), step)]
     if not lines or len({ln.count(",") for ln in lines}) > 1:
         raise ParseError(f"ragged or empty matrix CSV {path}")
@@ -191,13 +196,57 @@ def write_matrix_json(a, path):
     atomic_write_text(path, matrix_to_json_text(a))
 
 
+# the exact head and tail of matrix_to_json_text's output
+_JSON_HEAD = re.compile(r'\{"rows":([1-9][0-9]*),"cols":([1-9][0-9]*),"data":\[\[')
+_JSON_TAIL = "]]}\n"
+# the fast JSON read first looks at this many characters of the data; when more than
+# half of the cells there are distinct, one parse of the whole text is faster
+_PROBE_CHARS = 1 << 16
+
+
+def _json_values(tokens):
+    """complex(re, im) of each "re,im" token text, in one parse of all of them."""
+    pairs = parse_json("[[" + "],[".join(tokens) + "]]")
+    if len(pairs) != len(tokens) or not all(
+            type(p) is list and len(p) == 2 and all(type(x) in (int, float) for x in p)
+            for p in pairs):
+        raise ValueError("not one [re,im] pair of numbers per token")
+    return [complex(re, im) for re, im in pairs]
+
+
+def _writer_layout_entries(text):
+    """(rows, cols, flat entries) of text laid out exactly as matrix_to_json_text writes
+    it, each distinct [re,im] token parsed once; None for any other text, which the
+    general reader then reads or refuses."""
+    head = _JSON_HEAD.match(text)
+    if head is None or not text.endswith(_JSON_TAIL):
+        return None
+    probe = text[head.end():head.end() + _PROBE_CHARS].split("],[")
+    if 2 * len(set(probe)) > len(probe):
+        return None
+    cells = text[head.end():-len(_JSON_TAIL)].split("],[")
+    try:
+        rows, cols = int(head[1]), int(head[2])
+        if len(cells) != rows * cols:
+            return None
+        return rows, cols, _parse_cells(cells, _json_values)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _general_entries(text):
+    """(rows, cols, flat entries) of any matrix JSON text, through one full parse."""
+    obj = parse_json(text)
+    rows, cols = obj["rows"], obj["cols"]
+    if not all(type(v) is int and v > 0 for v in (rows, cols)):
+        raise ValueError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")
+    return rows, cols, np.fromiter((complex(re, im) for re, im in obj["data"]), dtype=complex)
+
+
 def read_matrix_json(path):
     with bad_input(f"cannot read matrix JSON {path}"):
-        obj = parse_json(read_text(path))
-        rows, cols = obj["rows"], obj["cols"]
-        if not all(type(v) is int and v > 0 for v in (rows, cols)):
-            raise ValueError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")
-        flat = np.fromiter((complex(re, im) for re, im in obj["data"]), dtype=complex)
+        text = read_text(path)
+        rows, cols, flat = _writer_layout_entries(text) or _general_entries(text)
         if not np.all(np.isfinite(flat)):
             raise ValueError("non-finite entry")
     if len(flat) != rows * cols:

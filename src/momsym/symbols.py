@@ -379,13 +379,40 @@ class CoefficientScaling:
     def table(cls, values, class_tag="decaying"):
         return cls("table", values=values, class_tag=class_tag)
 
+    def _fold(self, leaf, product):
+        """leaf(g) for each scaling g without factors, product(g, left, right) for each
+        product, combined bottom-up with the left factor first.  An explicit stack
+        walks the factor tree, so a product nested past Python's recursion limit folds
+        like a shallow one."""
+        done, todo = [], [(self, False)]
+        while todo:
+            g, ready = todo.pop()
+            if g._factors is None:
+                done.append(leaf(g))
+            elif ready:
+                right = done.pop()
+                done.append(product(g, done.pop(), right))
+            else:
+                todo += [(g, True), (g._factors[1], False), (g._factors[0], False)]
+        return done[0]
+
     def __call__(self, size):
-        try:
-            if np.isfinite(value := self._value(_as_key(size))):
-                return value
-        except OverflowError:  # a float power past the float range
-            pass
-        raise NumericError(f"scaling {self._json_text()} is not finite at size {size}")
+        key = _as_key(size)
+
+        def finite(g, value):
+            if not np.isfinite(value):
+                at = size if g is self else key  # factors are called with the key
+                raise NumericError(f"scaling {g._json_text()} is not finite at size {at}")
+            return value
+
+        def leaf(g):
+            try:
+                value = g._value(key)
+            except OverflowError:  # a float power past the float range
+                value = np.inf
+            return finite(g, value)
+
+        return self._fold(leaf, lambda g, left, right: finite(g, left * right))
 
     def _value(self, size):
         if self.form == "one":
@@ -401,14 +428,15 @@ class CoefficientScaling:
                 raise ValueError("ratio_N_over_n2 scaling needs a 2-index size (N, n)")
             N, n = size
             return N / float(n) ** 2
-        if self._factors:
-            return self._factors[0](size) * self._factors[1](size)
         if size not in self.values:
             raise ValueError(f"size {size} not present in scaling table")
         return self.values[size]
 
     def _json_text(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+        """json.dumps(self.to_json(), sort_keys=True), product by product."""
+        return self._fold(lambda g: json.dumps(g.to_json(), sort_keys=True),
+                          lambda g, left, right:
+                          f'{{"factors": [{left}, {right}], "form": "product"}}')
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientScaling):
@@ -430,10 +458,11 @@ class CoefficientScaling:
         return CoefficientScaling("table", _factors=(self, other))
 
     def to_json(self):
+        if self._factors is not None:
+            return self._fold(CoefficientScaling.to_json, lambda g, left, right:
+                              {"form": "product", "factors": [left, right]})
         if self.form == "inverse_power":
             return {"form": "inverse_power", "p": self.p, "base": self.base}
-        if self._factors is not None:
-            return {"form": "product", "factors": [g.to_json() for g in self._factors]}
         if self.form == "table":
             return {"form": "table", "class_tag": self.class_tag,
                     "values": {_size_text(k): v for k, v in sorted(self.values.items())}}
@@ -441,20 +470,32 @@ class CoefficientScaling:
 
     @classmethod
     def from_json(cls, obj):
+        """The scaling obj describes.  Each product reduces its factors through multiply;
+        an explicit stack reads them, depth first and left to right, however deep they nest."""
         with bad_input("bad scaling JSON"):
-            args = {**obj}
-            form = args.pop("form")
-            extra = sorted(set(args) - set(_FORM_KEYS.get(form, ())))
-            if extra:
-                raise ValueError(f"form {form!r} takes no key {', '.join(map(repr, extra))}")
-            if form == "product":
-                factors = [cls.from_json(g) for g in args["factors"]]
-                if not factors:
-                    raise ValueError("a product needs at least one factor")
-                return reduce(cls.multiply, factors)
-            if isinstance(args.get("values"), dict):
-                args["values"] = {_size_key(k): x for k, x in args["values"].items()}
-            return cls(form, **args)
+            done, todo = [], [(obj, None)]  # (JSON, None) or (None, a product's factor count)
+            while todo:
+                obj, count = todo.pop()
+                if count is not None:  # the product's factors are the last `count` done
+                    factors = done[-count:]
+                    del done[-count:]
+                    done.append(reduce(cls.multiply, factors))
+                    continue
+                args = {**obj}
+                form = args.pop("form")
+                extra = sorted(set(args) - set(_FORM_KEYS.get(form, ())))
+                if extra:
+                    raise ValueError(f"form {form!r} takes no key {', '.join(map(repr, extra))}")
+                if form == "product":
+                    factors = list(args["factors"])
+                    if not factors:
+                        raise ValueError("a product needs at least one factor")
+                    todo += [(None, len(factors)), *((g, None) for g in reversed(factors))]
+                    continue
+                if isinstance(args.get("values"), dict):
+                    args["values"] = {_size_key(k): x for k, x in args["values"].items()}
+                done.append(cls(form, **args))
+            return done[0]
 
 
 class MomentarySymbol:

@@ -17,7 +17,7 @@ import momsym.cli as cli
 from momsym import (LaurentSymbol, NumericError, circulant, read_matrix_csv,
                     read_matrix_json, tau_eigen_grid, tau_matrix, toeplitz,
                     toeplitz_rect)
-from momsym._io import atomic_write_text
+from momsym._io import atomic_write_text, parse_json
 
 
 def second_diff():
@@ -396,6 +396,45 @@ class TestCompareCommand:
         assert err.startswith("error (numeric): scaling ") and err.count("\n") == 1
         assert "is not finite at size 7" in err
         assert not recwarn.list
+
+    @staticmethod
+    def _deep_product(depth, leaf):
+        """A product scaling nested depth levels deep around leaf, two unlike factors a
+        level.  Written as text: json.dumps itself overflows the stack near the
+        parser's limit."""
+        text = leaf
+        for level in range(depth):
+            factor = ('{"form":"table","values":{"7":1.5}}' if level % 2
+                      else '{"form":"inverse_power","p":1,"base":"n"}')
+            text = '{"form":"product","factors":[%s,%s]}' % (factor, text)
+        return text
+
+    def test_deep_product_scaling_is_never_a_crash(self, tmp_path, f1_path, capsys):
+        def parses(depth):
+            try:
+                parse_json(self._deep_product(depth, "{}"))
+            except ValueError:
+                return False
+            return True
+
+        deepest = 330
+        while parses(deepest + 1):
+            deepest += 1
+        finite, overflowing = ('{"form":"table","values":{"7":2.0}}',
+                               '{"form":"inverse_power","p":-400,"base":"n"}')
+        cases = [(330, finite, 0), (330, overflowing, 4)]
+        cases += [(depth, (finite, overflowing)[depth % 2], None)
+                  for depth in range(300, deepest + 3)]
+        for depth, leaf, want in cases:
+            path = tmp_path / "deep.json"
+            path.write_text(self._deep_product(depth, leaf))
+            rc = cli.main(["compare", "--symbol", f1_path, "--scaling", str(path), "--n", "7",
+                           "--grid", "tau:0,0", "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 4), (depth, err)
+            assert want is None or rc == want
+            if rc == 2:
+                assert err.endswith(": JSON nested too deeply\n") and depth > deepest - 5
 
 
 class TestExampleCommand:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momsym.cli as cli
 import momsym.matrices as matrices
 from momsym import (LaurentSymbol, ParseError, block_reinterpret, circulant, circulant_grid,
                     circulant_real_transform, fourier_matrix, identity_rect, kron,
@@ -19,7 +20,7 @@ from momsym import (LaurentSymbol, ParseError, block_reinterpret, circulant, cir
                     read_matrix_json, shift_matrix, tau_eigen_grid,
                     tau_eigvec_matrix, tau_matrix, toeplitz,
                     toeplitz_rect, write_matrix_csv, write_matrix_json)
-from momsym._io import fmt_complex, fmt_real
+from momsym._io import fmt_complex, fmt_real, parse_json
 
 
 def second_diff():
@@ -663,3 +664,146 @@ class TestMatrixIOPerDistinctValue:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * n * n, f"{peak / n / n:.1f} bytes per entry"
+
+
+def read_json_whole(path):
+    """The matrix JSON reader without a fast path: one json.load of the whole file,
+    then the header, entry and count checks."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"repeated key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh, object_pairs_hook=unique_keys)
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
+        rows, cols = obj["rows"], obj["cols"]
+        if not all(type(v) is int and v > 0 for v in (rows, cols)):
+            raise ValueError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")
+        flat = np.fromiter((complex(re, im) for re, im in obj["data"]), dtype=complex)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("non-finite entry")
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"cannot read matrix JSON {path}: {exc}") from exc
+    if len(flat) != rows * cols:
+        raise ParseError(f"matrix JSON {path} has {len(flat)} entries, expected {rows * cols}")
+    return flat.reshape(rows, cols)
+
+
+@st.composite
+def repeating_matrices(draw):
+    """A matrix of 1..24 rows and columns holding a few values of _FINITE_POOL, so
+    that its JSON text is mostly repeats, or any pooled_matrices draw."""
+    if draw(st.booleans()):
+        return draw(pooled_matrices(_FINITE_POOL))
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    values = draw(st.lists(st.sampled_from(_FINITE_POOL), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows * cols,
+                          max_size=rows * cols))
+    return np.array([values[i] for i in picks], dtype=complex).reshape(rows, cols)
+
+
+def _mutate(draw, text):
+    """text, a matrix_to_json_text output, changed in one way a hand or another
+    writer might change it: the result may or may not be valid matrix JSON."""
+    head, _, rest = text.partition('"data":[[')
+    rows, cols = map(int, re.findall(r"\d+", head))
+    cells = rest[:-len("]]}\n")].split("],[")
+    i = draw(st.integers(0, len(cells) - 1))
+    token = draw(st.sampled_from([
+        "true,0.0", "0.0,false", '"1",0.0', "NaN,0.0", "0.0,Infinity", "-Infinity,1.0",
+        "1e400,0.0", "1" + "0" * 400 + ",0", "2,3", "1.0", "1.0,2.0,3.0", "[1,2]",
+        "[1.0,2.0],0.0", " 1.0 , -0.0 ", "1.0,\t2.5", "null,0.0", "{},1.0", ""]))
+    kind = draw(st.sampled_from(["token"] * 6 + ["space_in_token", "space_between",
+                                 "space_after", "no_newline", "reordered", "repeated",
+                                 "leading_zero", "drop_cell", "extra_cell"]))
+    data = "],[".join(cells)
+    if kind == "token":
+        data = "],[".join(cells[:i] + [token] + cells[i + 1:])
+    elif kind == "space_in_token":
+        data = "],[".join(cells[:i] + [cells[i].replace(",", ", ")] + cells[i + 1:])
+    elif kind == "space_between" and len(cells) > 1:
+        data = "],[".join(cells[:max(i, 1)]) + "], [" + "],[".join(cells[max(i, 1):])
+    elif kind == "drop_cell" and len(cells) > 1:
+        data = "],[".join(cells[:i] + cells[i + 1:])
+    elif kind == "extra_cell":
+        data = "],[".join(cells[:i] + [cells[i]] + cells[i:])
+    head = {"reordered": f'{{"cols":{cols},"rows":{rows},',
+            "repeated": f'{{"rows":{rows},"rows":{rows},"cols":{cols},',
+            "leading_zero": f'{{"rows":0{rows},"cols":{cols},'}.get(
+        kind, f'{{"rows":{rows},"cols":{cols},')
+    tail = {"space_after": "]]} \n", "no_newline": "]]}"}.get(kind, "]]}\n")
+    return f'{head}"data":[[{data}{tail}'
+
+
+class TestMatrixJSONFastPath:
+    """read_matrix_json parses each distinct [re,im] token once on the writer's exact
+    layout, and gives what one json.load of the whole file gives on every text."""
+
+    @staticmethod
+    def _read_both(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.json")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                want = read_json_whole(path)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    read_matrix_json(path)
+                assert str(got.value) == str(exc)
+                assert type(got.value.__cause__) is type(exc.__cause__)
+                return None
+            got = read_matrix_json(path)
+            assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+            return got
+
+    @settings(deadline=None, max_examples=300)
+    @given(repeating_matrices())
+    def test_writer_output_reads_back_bit_for_bit(self, a):
+        got = self._read_both(matrix_to_json_text(a))
+        assert np.array_equal(_bits(got), _bits(a))  # signed zeros and subnormals too
+
+    @settings(deadline=None, max_examples=500)
+    @given(repeating_matrices(), st.data())
+    def test_mutated_writer_text_reads_as_whole_file_parse(self, a, data):
+        self._read_both(_mutate(data.draw, matrix_to_json_text(a)))
+
+    @staticmethod
+    def _parsed_lengths(monkeypatch, path):
+        lengths = []
+
+        def recording(text):
+            lengths.append(len(text))
+            return parse_json(text)
+
+        monkeypatch.setattr(matrices, "parse_json", recording)
+        read_matrix_json(path)
+        return lengths
+
+    def test_fast_path_engages_on_build_output(self, tmp_path, monkeypatch):
+        symbol = tmp_path / "f1.json"
+        symbol.write_text(json.dumps(second_diff().to_json()))
+        assert cli.main(["build", "--kind", "tau", "--symbol", str(symbol), "--n", "255",
+                         "--phi", "1", "--format", "json", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "tau_n255_eps0_phi1.json"
+        lengths = self._parsed_lengths(monkeypatch, path)
+        assert lengths and max(lengths) < 1024, lengths  # no parse of the whole file
+        assert np.array_equal(read_matrix_json(path), tau_matrix(second_diff(), 0, 1, 255))
+
+    def test_whole_file_parse_for_distinct_data_and_other_layouts(self, tmp_path,
+                                                                  monkeypatch):
+        rng = np.random.default_rng(5)
+        distinct = tmp_path / "distinct.json"
+        distinct.write_text(matrix_to_json_text(rng.normal(size=(64, 64))))
+        reordered = tmp_path / "reordered.json"
+        reordered.write_text(matrix_to_json_text(np.zeros((64, 64))).replace(
+            '{"rows":64,"cols":64,', '{"cols":64,"rows":64,'))
+        for path in (distinct, reordered):
+            assert self._parsed_lengths(monkeypatch, path) == [len(path.read_text())]

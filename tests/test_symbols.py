@@ -317,6 +317,47 @@ class TestScalingAlgebra:
         with pytest.raises(ValueError):
             g(9)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from([
+        CoefficientScaling.inverse_power(3, "n"), CoefficientScaling.inverse_power(-2, "n+1"),
+        CoefficientScaling.table({(7,): 0.3, (9,): 1e300}), CoefficientScaling.one(),
+        CoefficientScaling.table({(7,): -2.5, (9,): 1e10}, class_tag="diverging")])),
+        min_size=1, max_size=12))
+    def test_product_tree_folds_like_the_recursive_definitions(self, steps):
+        # each step multiplies the tree so far by a factor, on the left or the right
+        g = CoefficientScaling.one()
+        for on_left, factor in steps:
+            g = factor.multiply(g) if on_left else g.multiply(factor)
+
+        def call(h, size):
+            # the recursive __call__ the fold replaced: every product checks its value
+            if h._factors is None:
+                return h(size)
+            key = (size,) if isinstance(size, int) else size
+            value = call(h._factors[0], key) * call(h._factors[1], key)
+            if not math.isfinite(value):
+                raise NumericError(f"scaling {h._json_text()} is not finite at size {size}")
+            return value
+
+        def to_json(h):
+            if h._factors is None:
+                return h.to_json()
+            return {"form": "product", "factors": [to_json(f) for f in h._factors]}
+
+        assert g.to_json() == to_json(g)
+        assert g._json_text() == json.dumps(to_json(g), sort_keys=True)
+        assert CoefficientScaling.from_json(g.to_json()) == g
+        for size in (7, 9):
+            try:
+                want = call(g, size)
+            except NumericError as exc:
+                with pytest.raises(NumericError) as got:
+                    g(size)
+                assert str(got.value) == str(exc)
+            else:
+                got = g(size)
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
     def test_parse_scaling_inline_and_roundtrip(self):
         g = parse_scaling('{"form":"inverse_power","p":2,"base":"n+1"}')
         assert g(7) == pytest.approx(1 / 64)
