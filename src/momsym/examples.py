@@ -28,7 +28,8 @@ from ._io import atomic_write_text
 from .analysis import _reports, compare, sample_spectrum_approx, verify_tau_decomposition
 from .grids import GridSpec
 from .matrices import _refuse_oversized, multilevel_toeplitz, multilevel_toeplitz_rect, toeplitz
-from .spectra import Spectrum, eig_general_small, eig_hermitian, singular_values
+from .spectra import (Spectrum, _eig_hermitian_band, eig_general_small, eig_hermitian,
+                      singular_values)
 from .symbols import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                       block_reinterpret, symmetrize_tridiagonal)
 
@@ -140,7 +141,12 @@ def example1(n, bc="dirichlet_neumann"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     matched = _BC_GRIDS[bc]
 
-    exact = eig_hermitian(_shifted_second_difference(matched, n))
+    band = matched.band(second_difference_symbol(), n)
+    if band is None:  # periodic: the corners lie off the band
+        exact = eig_hermitian(_shifted_second_difference(matched, n))
+    else:
+        band[1] += h * h
+        exact = _eig_hermitian_band(band)
     rep = ExampleReport("1", {"n": n, "bc": bc})
     rep.notes["h"] = h
 

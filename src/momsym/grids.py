@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .matrices import circulant, tau_matrix, toeplitz
-from .spectra import eig_general_small, eig_hermitian
+from .matrices import _tridiagonal_band, circulant, tau_matrix, toeplitz
+from .spectra import _eig_hermitian_band, eig_general_small, eig_hermitian
 
 # (eps, phi) -> (a, b): grid theta_j = (j + a) pi / (n + b), denominator h = 1/(n+b)
 _TAU_PARAMS = {
@@ -179,8 +179,22 @@ class GridSpec:
             return tau_matrix(f, self.eps, self.phi, n)
         return _FAMILIES[self.family][1](f, n)
 
+    def band(self, f, n):
+        """matrix(f, n) as [sub, main, super] float diagonals with the same bits, or None
+        where it is not real tridiagonal; a circulant's corners lie off the band, so None."""
+        if self.family == "tau":
+            return _tridiagonal_band(f, n, self.eps, self.phi)
+        return _tridiagonal_band(f, n) if self.family == "uniform-open" else None
+
     def exact_spectrum(self, f, n):
-        """Spectrum of matrix(f, n): Hermitian eigenvalues if it is Hermitian, else general ones."""
+        """Spectrum of matrix(f, n): Hermitian eigenvalues if it is Hermitian, else general
+        ones.  A real tridiagonal matrix is solved from its band form, with the same bits."""
+        band = self.band(f, n)
+        if band is not None:
+            try:
+                return _eig_hermitian_band(band)
+            except ValueError:  # a Toeplitz band that is not symmetric
+                return eig_general_small(self.matrix(f, n))
         a = self.matrix(f, n)
         try:
             return eig_hermitian(a)

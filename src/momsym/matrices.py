@@ -64,16 +64,48 @@ def circulant(f, n):
     return toeplitz(LaurentSymbol(folded, d=1, s=1, r=1), n)
 
 
-def tau_matrix(f, eps, phi, n):
-    """T_n(f) with corner corrections eps*f1 at (1,1) and phi*f1 at (n,n)."""
+def _corner_terms(f, eps, phi):
+    """(eps*f1, phi*f1), the corner corrections of tau_matrix(f, eps, phi, n)."""
     eps, phi = float(eps), float(phi)
     if not (abs(eps) <= 1 and abs(phi) <= 1):
         raise ValueError("corner weights must lie in [-1, 1]")
     _, f1 = _tridiagonal_coeffs(f, real_symmetric=True)
+    return eps * f1, phi * f1
+
+
+def tau_matrix(f, eps, phi, n):
+    """T_n(f) with corner corrections eps*f1 at (1,1) and phi*f1 at (n,n)."""
+    top, bottom = _corner_terms(f, eps, phi)
     a = toeplitz(f, n)
-    a[0, 0] += eps * f1
-    a[-1, -1] += phi * f1
+    a[0, 0] += top
+    a[-1, -1] += bottom
     return a
+
+
+def _tridiagonal_band(f, n, eps=None, phi=None):
+    """The (sub, main, super) diagonals of T_n(f), or of tau_matrix(f, eps, phi, n), as
+    float arrays built in O(n) with the bits of the dense build: each entry is 0.0 + f_k
+    and the corners then add eps*f1 and phi*f1.
+
+    None where that matrix has a nonzero imaginary part, lies off the band or would not
+    build; the caller then builds it dense, which raises what it raises.  An order the
+    dense build refuses for memory is refused alike, before anything is allocated.
+    """
+    try:
+        corners = None if eps is None else _corner_terms(f, eps, phi)
+        coeffs = _tridiagonal_coeffs(f)
+        n = int(n)
+    except (TypeError, ValueError):
+        return None
+    if n < 1 or any(c.imag != 0 for c in coeffs[:1 if n == 1 else 3]):
+        return None
+    _refuse_oversized(n, n, 48)
+    f0, f1, fm1 = (0.0 + c.real for c in coeffs)
+    main = np.full(n, f0)
+    if corners is not None:
+        main[0] += corners[0]
+        main[-1] += corners[1]
+    return [np.full(n - 1, f1), main, np.full(n - 1, fm1)]
 
 
 def identity_rect(n, m):
@@ -130,6 +162,21 @@ def _rows_per_block(cols):
     return max(1, _BLOCK_ENTRIES // max(1, cols))
 
 
+def _distinct_bits(block):
+    """(the distinct 16-byte bit patterns among a complex block's entries, as complex
+    values; each entry's index among them), found by a sort on the two 64-bit words of
+    each entry, so -0.0 and 0.0 stay apart and so do NaN payloads."""
+    words = block.view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((words[:, 1], words[:, 0]))
+    ordered = words[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new].view(complex).ravel(), inverse
+
+
 def _matrix_text(a, fmt, sep, row_sep, head, tail):
     """head, then a's rows joined by row_sep with each row's fmt(entry) texts joined
     by sep, then tail.  fmt runs once per distinct 16-byte bit pattern in a block, so
@@ -138,8 +185,8 @@ def _matrix_text(a, fmt, sep, row_sep, head, tail):
     pieces = [head]
     for start in range(0, a.shape[0], step):
         block = np.ascontiguousarray(a[start:start + step])
-        bits, inverse = np.unique(block.view(np.dtype((np.void, 16))), return_inverse=True)
-        texts = np.array([fmt(v) for v in bits.view(complex).tolist()], dtype=object)
+        bits, inverse = _distinct_bits(block)
+        texts = np.array([fmt(v) for v in bits.tolist()], dtype=object)
         rows = texts[inverse.reshape(block.shape)].tolist()
         if start:
             pieces.append(row_sep)
@@ -199,8 +246,9 @@ def write_matrix_json(a, path):
 # the exact head and tail of matrix_to_json_text's output
 _JSON_HEAD = re.compile(r'\{"rows":([1-9][0-9]*),"cols":([1-9][0-9]*),"data":\[\[')
 _JSON_TAIL = "]]}\n"
-# the fast JSON read first looks at this many characters of the data; when more than
-# half of the cells there are distinct, one parse of the whole text is faster
+# the fast JSON read takes the data a window of about this many characters at a time;
+# when more than half of the cells in a window are distinct, one parse of the whole
+# text is faster
 _PROBE_CHARS = 1 << 16
 
 
@@ -216,22 +264,39 @@ def _json_values(tokens):
 
 def _writer_layout_entries(text):
     """(rows, cols, flat entries) of text laid out exactly as matrix_to_json_text writes
-    it, each distinct [re,im] token parsed once; None for any other text, which the
-    general reader then reads or refuses."""
+    it; None for any other text, which the general reader then reads or refuses.
+
+    The data is read a window at a time: each window ends at the last "],[" within
+    _PROBE_CHARS characters of its start, and each distinct [re,im] token in it is
+    parsed once.  A window followed by more data that holds more than half distinct
+    cells also gives None, since one parse of the whole text is then faster.
+    """
     head = _JSON_HEAD.match(text)
     if head is None or not text.endswith(_JSON_TAIL):
         return None
-    probe = text[head.end():head.end() + _PROBE_CHARS].split("],[")
-    if 2 * len(set(probe)) > len(probe):
+    rows, cols = int(head[1]), int(head[2])
+    start, stop = head.end(), len(text) - len(_JSON_TAIL)
+    # a cell takes at least three characters ("1,2") and a "],[" before the next one
+    if rows * cols > (stop - start + 3) // 6:
         return None
-    cells = text[head.end():-len(_JSON_TAIL)].split("],[")
-    try:
-        rows, cols = int(head[1]), int(head[2])
-        if len(cells) != rows * cols:
+    flat = np.empty(rows * cols, dtype=complex)
+    done = 0
+    while start <= stop:
+        cut = stop
+        if stop - start > _PROBE_CHARS:
+            cut = text.rfind("],[", start, start + _PROBE_CHARS)
+            if cut < 0:  # a cell longer than a window: one distinct cell of one
+                return None
+        cells = text[start:cut].split("],[")
+        if (cut < stop and 2 * len(set(cells)) > len(cells)) or done + len(cells) > len(flat):
             return None
-        return rows, cols, _parse_cells(cells, _json_values)
-    except (ValueError, OverflowError):
-        return None
+        try:
+            flat[done:done + len(cells)] = _parse_cells(cells, _json_values)
+        except (ValueError, OverflowError):
+            return None
+        done += len(cells)
+        start = cut + 3
+    return (rows, cols, flat) if done == len(flat) else None
 
 
 def _general_entries(text):

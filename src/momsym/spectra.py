@@ -139,17 +139,9 @@ def _band_solver(n):
 
 
 def _band(a):
-    """a's (sub, main, super) diagonals if no nonzero lies off them and no -0.0 on the main one.
-
-    The dense solve's Householder reduction adds zeros to the matrix, which turns
-    some -0.0 diagonal entries into 0.0 (from order 33, where LAPACK blocks it) and
-    so flips the sign of an exactly zero eigenvalue; such input stays dense.
-    """
+    """a's (sub, main, super) diagonals if no nonzero lies off them, else None."""
     band = [np.diagonal(a, k) for k in (-1, 0, 1)]
-    mid = band[1]
-    if np.count_nonzero(a) != sum(map(np.count_nonzero, band)) or np.signbit(mid[mid == 0]).any():
-        return None
-    return band
+    return band if np.count_nonzero(a) == sum(map(np.count_nonzero, band)) else None
 
 
 def _eigvalsh_band(band, solve):
@@ -157,6 +149,38 @@ def _eigvalsh_band(band, solve):
     n = len(band[1])
     h = _hermitian_average(np.concatenate(band), np.concatenate(band[::-1]))
     return solve(h[n - 1:2 * n - 1], h[:n - 1], lapack_driver="stev", check_finite=False)
+
+
+def _stev_spectrum(band, solve):
+    """The spectrum of the real tridiagonal matrix with diagonals band by solve (stev),
+    or None where the dense solve must run: no band, no solve or a -0.0 on the main diagonal.
+
+    The dense solve's Householder reduction adds zeros to the matrix, which turns
+    some -0.0 diagonal entries into 0.0 (from order 33, where LAPACK blocks it) and
+    so flips the sign of an exactly zero eigenvalue; such input stays dense.
+    """
+    if band is None or solve is None:
+        return None
+    mid = band[1]
+    if np.signbit(mid[mid == 0]).any():
+        return None
+    try:
+        return Spectrum(_eigvalsh_band(band, solve), "hermitian_eig")
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
+
+
+def _eig_hermitian_band(band):
+    """eig_hermitian of the real tridiagonal matrix with diagonals band = [sub, main,
+    super], bit for bit; the matrix is built, in float64, only where the dense solve runs."""
+    n = len(band[1])
+    spectrum = _stev_spectrum(band, _band_solver(n))
+    if spectrum is None:
+        a = np.zeros((n, n))
+        i = np.arange(n)
+        a[i[1:], i[:-1]], a[i, i], a[i[:-1], i[1:]] = band
+        spectrum = eig_hermitian(a)
+    return spectrum
 
 
 def eig_hermitian(a, vectors=False):
@@ -178,10 +202,10 @@ def eig_hermitian(a, vectors=False):
     real = not (np.iscomplexobj(a) and a.imag.any())
     a = _as_square(a.real if real else a, float if real else complex)
     solve = _band_solver(a.shape[0]) if real and not vectors and a.size else None
-    band = _band(a) if solve is not None else None
+    banded = _stev_spectrum(_band(a), solve) if solve is not None else None
+    if banded is not None:
+        return banded
     try:
-        if band is not None:
-            return Spectrum(_eigvalsh_band(band, solve), "hermitian_eig")
         h = _hermitian_average(a, a.conj().T)
         if vectors:
             w, v = np.linalg.eigh(h)

@@ -239,15 +239,15 @@ class TestInterlacing:
         # the masked comparison must list the same j as a loop over j, and a
         # NaN eigenvalue must count as a failure rather than pass silently
         if nan_at is not None:
-            solve = analysis.eig_hermitian
+            solve = analysis._eig_hermitian_band
 
-            def nan_in_middle_variant(a):
-                values = solve(a).values.copy()
-                if a[-1, -1] == -0.5:  # the phi = -1/2 build of the cosine symbol
+            def nan_in_middle_variant(band):
+                values = solve(band).values.copy()
+                if band[1][-1] == -0.5:  # the phi = -1/2 band of the cosine symbol
                     values[nan_at] = np.nan
                 return Spectrum(values, "hermitian_eig")
 
-            monkeypatch.setattr(analysis, "eig_hermitian", nan_in_middle_variant)
+            monkeypatch.setattr(analysis, "_eig_hermitian_band", nan_in_middle_variant)
         n = 32
         rep = interlacing_check(LaurentSymbol({1: 1.0, -1: 1.0}), n)
         lo, mid, hi = rep.eig_phi_m1, rep.eig_phi_m12, rep.eig_phi_0

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import momsym.matrices as matrices
 from momsym import (GridSpec, LaurentSymbol, ParseError, circulant,
                     circulant_grid, circulant_real_transform, eig_general_small,
                     eig_hermitian, fourier_matrix,
@@ -259,3 +260,52 @@ class TestOrdering:
         for label, info in detail.items():
             if "=" in label:
                 assert info["holds_for_all_j"] and info["failing_j"] == []
+
+
+class TestBandForm:
+    """GridSpec.band gives the three diagonals of GridSpec.matrix, bit for bit, in O(n)."""
+
+    _SYMBOLS = [{0: 2.0, 1: -1.0, -1: -1.0}, {0: -0.0, 1: complex(0.5, -0.0), -1: 0.5},
+                {0: 1.0, 1: -0.0, -1: -0.0}, {0: 3.0, 1: 0.25, -1: 0.75}]
+
+    @staticmethod
+    def _bits(x):
+        return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("spec", _ALL_GRIDS, ids=lambda spec: spec.name())
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_band_holds_the_dense_bits(self, spec, n):
+        for coeffs in self._SYMBOLS:
+            f = LaurentSymbol(coeffs)
+            try:
+                a = spec.matrix(f, n)
+            except ValueError:  # a non-symmetric tau symbol; a circulant wider than n
+                assert spec.band(f, n) is None
+                continue
+            band = spec.band(f, n)
+            if spec.family == "circulant":  # the corners lie off the band
+                assert band is None
+                continue
+            assert not a.imag.any() and all(d.dtype == np.float64 for d in band)
+            want = [np.diagonal(a.real, k) for k in (-1, 0, 1)]
+            assert all(np.array_equal(self._bits(d), self._bits(w)) for d, w in zip(band, want))
+            assert np.count_nonzero(a) == sum(map(np.count_nonzero, want))
+
+    def test_no_band_where_the_matrix_is_not_real_tridiagonal(self):
+        spec = GridSpec("uniform-open")
+        for coeffs in ({0: 2.0, 1: 1j, -1: -1j}, {0: complex(2.0, 1e-300)},
+                       _SPECTRUM_SYMBOLS["ns4"], _SPECTRUM_SYMBOLS["blk2"]):
+            assert spec.band(LaurentSymbol(coeffs), 4) is None
+        assert spec.band(LaurentSymbol(_SPECTRUM_SYMBOLS["f1"]), 0) is None  # the build raises
+        # order 1 has no off-diagonal, so only f0 must be real
+        assert spec.band(LaurentSymbol({0: 2.0, 1: 1j, -1: -1j}), 1)[1].tolist() == [2.0]
+
+    def test_band_refuses_what_the_dense_build_refuses(self, monkeypatch):
+        monkeypatch.setattr(matrices, "_physical_memory", lambda: 48 * 100 * 100)
+        f = LaurentSymbol(_SPECTRUM_SYMBOLS["f1"])
+        for spec in (GridSpec.tau(0, 1), GridSpec("uniform-open")):
+            assert len(spec.band(f, 100)[1]) == 100
+            with pytest.raises(ValueError) as dense:
+                spec.matrix(f, 101)
+            with pytest.raises(ValueError, match=re.escape(str(dense.value))):
+                spec.band(f, 101)

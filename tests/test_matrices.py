@@ -665,6 +665,19 @@ class TestMatrixIOPerDistinctValue:
             tracemalloc.stop()
         assert peak <= 48 * n * n, f"{peak / n / n:.1f} bytes per entry"
 
+    def test_json_reader_stays_within_memory_guard(self, tmp_path):
+        # the text, the 16-byte result and one window's cells; no list of every cell
+        n = 1023
+        path = tmp_path / "tau.json"
+        write_matrix_json(tau_matrix(second_diff(), 0, 1, n), path)
+        tracemalloc.start()
+        try:
+            read_matrix_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n * n, f"{peak / n / n:.1f} bytes per entry"
+
 
 def read_json_whole(path):
     """The matrix JSON reader without a fast path: one json.load of the whole file,
@@ -764,16 +777,21 @@ class TestMatrixJSONFastPath:
             assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
             return got
 
+    # small windows put window cuts inside and between rows
+    _windows = st.sampled_from([matrices._PROBE_CHARS]) | st.integers(10, 400)
+
     @settings(deadline=None, max_examples=300)
-    @given(repeating_matrices())
-    def test_writer_output_reads_back_bit_for_bit(self, a):
-        got = self._read_both(matrix_to_json_text(a))
+    @given(repeating_matrices(), _windows)
+    def test_writer_output_reads_back_bit_for_bit(self, a, window):
+        with mock.patch.object(matrices, "_PROBE_CHARS", window):
+            got = self._read_both(matrix_to_json_text(a))
         assert np.array_equal(_bits(got), _bits(a))  # signed zeros and subnormals too
 
     @settings(deadline=None, max_examples=500)
-    @given(repeating_matrices(), st.data())
-    def test_mutated_writer_text_reads_as_whole_file_parse(self, a, data):
-        self._read_both(_mutate(data.draw, matrix_to_json_text(a)))
+    @given(repeating_matrices(), st.data(), _windows)
+    def test_mutated_writer_text_reads_as_whole_file_parse(self, a, data, window):
+        with mock.patch.object(matrices, "_PROBE_CHARS", window):
+            self._read_both(_mutate(data.draw, matrix_to_json_text(a)))
 
     @staticmethod
     def _parsed_lengths(monkeypatch, path):
@@ -807,3 +825,32 @@ class TestMatrixJSONFastPath:
             '{"rows":64,"cols":64,', '{"cols":64,"rows":64,'))
         for path in (distinct, reordered):
             assert self._parsed_lengths(monkeypatch, path) == [len(path.read_text())]
+
+    def test_distinct_window_ends_the_fast_path(self, tmp_path, monkeypatch):
+        # four zero rows, then all distinct: at most the zero window is parsed before
+        # the whole text, wherever the first window ends
+        a = np.random.default_rng(7).normal(size=(64, 64))
+        a[:4] = 0
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json_text(a))
+        whole = len(path.read_text())
+        assert self._parsed_lengths(monkeypatch, path) == [whole]
+        # a window of just the 256 zero cells ("0.0,0.0" and "],[" each) is parsed alone
+        monkeypatch.setattr(matrices, "_PROBE_CHARS", 2570)
+        assert self._parsed_lengths(monkeypatch, path) == [len("[[0.0,0.0]]"), whole]
+        assert np.array_equal(_bits(read_matrix_json(path)), _bits(a.astype(complex)))
+
+    @pytest.mark.parametrize("window", [4096, matrices._PROBE_CHARS])
+    @pytest.mark.parametrize("tail", [1, 3, 10])
+    def test_distinct_trailing_cells_keep_the_fast_path(self, tmp_path, monkeypatch,
+                                                        window, tail):
+        # the short last window is never judged, however distinct its cells are
+        a = np.zeros((64, 64))
+        a.flat[-tail:] = np.random.default_rng(tail).normal(size=tail)
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json_text(a))
+        monkeypatch.setattr(matrices, "_PROBE_CHARS", window)
+        lengths = self._parsed_lengths(monkeypatch, path)
+        assert len(lengths) == -(-len(path.read_text()) // window)  # one parse per window
+        assert max(lengths) < 1024, lengths  # no parse of the whole file
+        assert np.array_equal(_bits(read_matrix_json(path)), _bits(a.astype(complex)))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momsym.examples as examples
+import momsym.matrices as matrices
 import momsym.spectra as spectra
-from momsym import (LaurentSymbol, NumericError, Spectrum, circulant,
+from momsym import (GridSpec, LaurentSymbol, NumericError, Spectrum, circulant,
                     circulant_grid, distribution_test, eig_general_small,
-                    eig_hermitian, fourier_sum, identity_rect,
-                    singular_values, tau_matrix, toeplitz)
+                    eig_hermitian, example1, fourier_sum, identity_rect,
+                    interlacing_check, singular_values, tau_matrix, toeplitz)
 from momsym.examples import h2xn_dirichlet_neumann
 from momsym.spectra import _real_part
 from momsym.symbols import _tensor_grid
@@ -284,6 +287,80 @@ class TestBandRoute:
                             lambda h, _solve=np.linalg.eigvalsh: dense.append(h.dtype) or _solve(h))
         assert eig_hermitian(a).values.tobytes() == want
         assert band_calls == [n] and dense == [np.float64]
+
+    # every grid with a band form, and symbols whose builds hold signed zeros: the
+    # band entries are 0.0 + f_k, also for a complex f_k with a zero imaginary part
+    _GRIDS = [GridSpec.tau(e, p) for e, p in TAU_PAIRS] + [GridSpec("uniform-open")]
+    _SYMBOLS = [LaurentSymbol({0: -0.0, 1: 1.5, -1: 1.5}),
+                LaurentSymbol({0: complex(2.0, -0.0), 1: complex(-1.0, 0.0), -1: -1.0}),
+                LaurentSymbol({0: 1.0, 1: -0.0, -1: -0.0})]
+    _ROUTES = [("stev", n) for n in (2, 3, 33, 64, 1599, 1600, 1601)] \
+        + [("dense", n) for n in (2, 3, 33, 64)]
+
+    @pytest.fixture
+    def route(self, request, monkeypatch):
+        pytest.importorskip("scipy.linalg")
+        if request.param == "dense":
+            monkeypatch.setattr(spectra, "_band_solver", lambda n: None)
+        return request.param
+
+    @pytest.mark.parametrize("route, n", _ROUTES, indirect=["route"])
+    def test_grid_spectra_match_dense_build(self, route, n):
+        # from the import order on, each symbol at one order: a dense build there takes 40 MB
+        symbols = self._SYMBOLS if n < 1599 else [self._SYMBOLS[n - 1599]]
+        for spec in self._GRIDS:
+            for f in symbols:
+                want = eig_hermitian(spec.matrix(f, n)).values.tobytes()
+                assert spec.exact_spectrum(f, n).values.tobytes() == want, (spec, f.coeffs)
+
+    @pytest.mark.parametrize("route, n", _ROUTES, indirect=["route"])
+    def test_example1_and_interlacing_match_dense_build(self, route, n):
+        for bc, grid in examples._BC_GRIDS.items():  # the h^2 shift on the main diagonal
+            want = eig_hermitian(examples._shifted_second_difference(grid, n)).values.tobytes()
+            assert example1(n, bc).reports["momentary_matched"].exact.values.tobytes() == want
+        if n >= 4:
+            f = self._SYMBOLS[0]
+            rep = interlacing_check(f, n)
+            for phi, got in zip((-1.0, -0.5, 0.0), (rep.eig_phi_m1, rep.eig_phi_m12, rep.eig_phi_0)):
+                assert got.tobytes() == eig_hermitian(tau_matrix(f, 0, phi, n)).values[::-1].tobytes()
+
+    def test_band_fallback_without_scipy(self, monkeypatch):
+        n = spectra._STEV_IMPORT_ORDER
+        want = dense_reference(tau_matrix(second_diff(), 0, 1, n).real).tobytes()
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # the import raises ImportError
+        assert GridSpec.tau(0, 1).exact_spectrum(second_diff(), n).values.tobytes() == want
+
+    def test_callers_solve_from_the_band(self, band_calls, monkeypatch):
+        builds = []
+
+        def spy(f, n_vec, m_vec, _build=matrices.multilevel_toeplitz_rect):
+            builds.append(n_vec)
+            return _build(f, n_vec, m_vec)
+        monkeypatch.setattr(matrices, "multilevel_toeplitz_rect", spy)
+        f = second_diff()
+        GridSpec.tau(1, -1).exact_spectrum(f, 9)
+        GridSpec("uniform-open").exact_spectrum(f, 8)
+        example1(7)
+        example1(6, "dirichlet")
+        interlacing_check(LaurentSymbol({0: 2.0, 1: 1.0, -1: 1.0}), 5)
+        assert builds == [] and band_calls == [9, 8, 7, 6, 5, 5, 5]
+        # off the band (a circulant's corners, a nonzero imaginary part) the build is dense
+        example1(5, "periodic")
+        GridSpec("uniform-open").exact_spectrum(LaurentSymbol({0: 2.0, 1: 1j, -1: -1j}), 4)
+        assert builds == [5, 4] and len(band_calls) == 7
+
+    def test_band_route_holds_no_dense_matrix(self, band_calls):
+        n = 4095  # the dense build alone takes 256 MiB
+        for call in (lambda: GridSpec.tau(0, 1).exact_spectrum(second_diff(), n),
+                     lambda: example1(n)):
+            call()  # imports and caches outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"{peak / 2 ** 20:.1f} MiB"
 
     def test_import_only_from_import_order(self):
         pytest.importorskip("scipy.linalg")
