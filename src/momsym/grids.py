@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ParseError
 from .matrices import _tridiagonal_band, circulant, tau_matrix, toeplitz
-from .spectra import _eig_hermitian_band, eig_general_small, eig_hermitian
+from .spectra import (_eig_hermitian_band, _refuse_general_order, eig_general_small,
+                      eig_hermitian)
 
 # (eps, phi) -> (a, b): grid theta_j = (j + a) pi / (n + b), denominator h = 1/(n+b)
 _TAU_PARAMS = {
@@ -194,6 +195,7 @@ class GridSpec:
             try:
                 return _eig_hermitian_band(band)
             except ValueError:  # a Toeplitz band that is not symmetric
+                _refuse_general_order(len(band[1]))  # before the dense build
                 return eig_general_small(self.matrix(f, n))
         a = self.matrix(f, n)
         try:

@@ -220,14 +220,23 @@ def _csv_values(texts):
 
 
 def read_matrix_csv(path):
+    """The matrix in a CSV file, parsed a block of rows at a time into one array.
+
+    Every cell is parsed before ragged rows are reported, so a bad cell's message
+    comes first, then ragged rows, then a non-finite entry.
+    """
     with bad_input(f"cannot read matrix CSV {path}"):
         lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-        step = _rows_per_block(lines[0].count(",") + 1) if lines else 1
-        blocks = [_parse_cells(",".join(lines[i:i + step]).split(","), _csv_values)
-                  for i in range(0, len(lines), step)]
-    if not lines or len({ln.count(",") for ln in lines}) > 1:
+        cols = lines[0].count(",") + 1 if lines else 1
+        ragged = not lines or any(ln.count(",") != cols - 1 for ln in lines)
+        a = np.empty((0 if ragged else len(lines), cols), dtype=complex)
+        step = _rows_per_block(cols)
+        for i in range(0, len(lines), step):
+            values = _parse_cells(",".join(lines[i:i + step]).split(","), _csv_values)
+            if not ragged:
+                a[i:i + step] = values.reshape(-1, cols)
+    if ragged:
         raise ParseError(f"ragged or empty matrix CSV {path}")
-    a = np.concatenate(blocks).reshape(len(lines), -1)
     if not np.all(np.isfinite(a)):
         raise ParseError(f"cannot read matrix CSV {path}: non-finite entry")
     return a

@@ -25,6 +25,9 @@ from .symbols import LaurentSymbol, _tensor_grid
 
 _HERM_TOL = 1e-10
 _GENERAL_MAX_ORDER = 64
+# distribution_test samples and solves its 512**d midpoints this many at a time, so its
+# temporaries stay near cache size; the values and their mean keep their bits
+_QUAD_CHUNK = 1 << 14
 # The order from which a real tridiagonal solve first imports scipy.linalg for
 # LAPACK stev.  On a 2-vCPU host (numpy 2.4.6, scipy 1.17.1, OpenBLAS) the
 # import took 0.27-0.34 s and 28 MiB; the dense real solve of a tau matrix took
@@ -236,11 +239,16 @@ def _cmul(x, y):
     return out
 
 
+def _refuse_general_order(n):
+    """ValueError for a general eigensolve of order n above _GENERAL_MAX_ORDER."""
+    if n > _GENERAL_MAX_ORDER:
+        raise ValueError(f"general eigensolve capped at order {_GENERAL_MAX_ORDER}, got {n}")
+
+
 def _eig_general_values(a):
     """Flattened, unsorted eigenvalues of a (count, n, n) stack, each by eig_general_small's rules."""
     n = a.shape[-1]
-    if n > _GENERAL_MAX_ORDER:
-        raise ValueError(f"general eigensolve capped at order {_GENERAL_MAX_ORDER}, got {n}")
+    _refuse_general_order(n)
     if not np.isfinite(a).all():
         raise NumericError("matrix has NaN or infinite entries")
     rows, cols = np.triu_indices(n, 1)
@@ -330,14 +338,33 @@ def distribution_test(spec, f, domain=None, f_id="abs_power_1"):
     if len(domain) != f.d:
         raise ValueError("domain arity does not match symbol arity")
     measure = float(np.prod([hi - lo for lo, hi in domain]))
-
-    # tensor midpoint rule per box side; on a full period this matches trapezoid
-    samples = f.sample(_tensor_grid(
-        [lo + (hi - lo) * (np.arange(512) + 0.5) / 512 for lo, hi in domain]))
-    if f.s != f.r or np.abs(samples - samples.conj().transpose(0, 2, 1)).max() / 2 \
-            > _rounding_tol(samples):
+    if f.s != f.r:
         raise ValueError("symbol is not Hermitian on the grid; cannot compare")
-    vals = _eig_general_values(samples).real
+
+    # tensor midpoint rule per box side; on a full period this matches trapezoid.  The
+    # grid goes in even slices of its first (slowest) axis, each about _QUAD_CHUNK points
+    # and, from _QUAD_CHUNK = 2 on, never one point alone (LaurentSymbol.sample rounds a
+    # lone value as scalar arithmetic does); each is sampled and solved on its own into
+    # vals, and a solve error waits for the Hermitian verdict on the whole grid
+    axes = [lo + (hi - lo) * (np.arange(512) + 0.5) / 512 for lo, hi in domain]
+    size = 512 ** f.d
+    vals = np.empty(size * f.s)
+    done, dev, vmax, failure = 0, [], [], None
+    for part in np.array_split(axes[0], min(512, -(-size // _QUAD_CHUNK))):
+        samples = f.sample(_tensor_grid([part, *axes[1:]]))
+        dev.append(np.abs(samples - samples.conj().transpose(0, 2, 1)).max())
+        vmax.append(np.abs(samples).max())
+        if failure is None:
+            try:
+                vals[done:done + samples.shape[0] * f.s] = _eig_general_values(samples).real
+            except (ValueError, NumericError) as exc:
+                failure = exc
+        done += samples.shape[0] * f.s
+    # np.max, unlike max, keeps a NaN as the whole-grid maximum kept it
+    if np.max(dev) / 2 > _rounding_tol(vmax):
+        raise ValueError("symbol is not Hermitian on the grid; cannot compare")
+    if failure is not None:
+        raise failure
     if spec.kind == "singular":
         vals = np.abs(vals)
 

@@ -116,17 +116,30 @@ class LaurentSymbol:
         return out
 
     def sample(self, thetas):
-        """Evaluate on many points at once; returns shape (npts, s, r)."""
+        """Evaluate on many points at once; returns shape (npts, s, r), C-contiguous.
+
+        Each coefficient entry is added into its own contiguous row of points, in key
+        order, with the bits of out += phase[:, None, None] * m.
+        """
         pts = np.asarray(thetas, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[1] != self.d:
             raise ValueError(f"grid points must have {self.d} components")
-        out = np.zeros((pts.shape[0], self.s, self.r), dtype=complex)
+        out = np.zeros((self.s, self.r, pts.shape[0]), dtype=complex)
+        term = np.empty(pts.shape[0], dtype=complex)
         for k, m in self._coeffs.items():
             phase = np.exp(1j * (pts @ np.asarray(k, dtype=float)))
-            out += phase[:, None, None] * m
-        return out
+            if out.size == 1:
+                # numpy rounds a product with a one-element result as scalar arithmetic
+                # does, and one-element rows of a longer product in SIMD, which can
+                # round differently (a fused multiply-add); a lone value keeps the former
+                out += phase * m
+                continue
+            for a, b in np.ndindex(self.s, self.r):
+                np.multiply(phase, m[a, b], out=term)
+                out[a, b] += term
+        return np.ascontiguousarray(out.transpose(2, 0, 1))
 
     def __call__(self, theta):
         v = self.eval(theta)

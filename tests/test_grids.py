@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,28 @@ def test_exact_spectrum_matches_reference_bits(spec, name, n):
         return
     got = spec.exact_spectrum(f, n)
     assert got.kind == want.kind
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_non_symmetric_band_over_order_cap_is_refused_before_the_build():
+    # the band route fails on symmetry; from order 65 the general solve is refused on the
+    # order alone, where the dense build took 1.6 s and 79 MiB at n = 2047
+    pytest.importorskip("scipy.linalg")  # without it the band route itself builds dense
+    f, spec, n = LaurentSymbol({0: 3.0, 1: 0.25, -1: 0.75}), GridSpec("uniform-open"), 2047
+    message = f"^general eigensolve capped at order 64, got {n}$"
+    with pytest.raises(ValueError, match=message):
+        spec.exact_spectrum(f, n)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            spec.exact_spectrum(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak / 2 ** 20:.1f} MiB"
+    want = _reference_spectrum(spec, f, 64)  # at the cap the general solve still runs
+    got = spec.exact_spectrum(f, 64)
+    assert got.kind == want.kind == "general_eig"
     assert got.values.tobytes() == want.values.tobytes()
 
 

@@ -665,6 +665,19 @@ class TestMatrixIOPerDistinctValue:
             tracemalloc.stop()
         assert peak <= 48 * n * n, f"{peak / n / n:.1f} bytes per entry"
 
+    def test_csv_reader_fills_one_array(self, tmp_path):
+        # the lines, the 16-byte result and one block's cells; no second copy of the values
+        n = 1023
+        path = tmp_path / "tau.csv"
+        write_matrix_csv(tau_matrix(second_diff(), 0, 1, n), path)
+        tracemalloc.start()
+        try:
+            read_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * n * n, f"{peak / n / n:.1f} bytes per entry"
+
     def test_json_reader_stays_within_memory_guard(self, tmp_path):
         # the text, the 16-byte result and one window's cells; no list of every cell
         n = 1023

@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,6 +22,7 @@ from momsym import (GridSpec, LaurentSymbol, NumericError, Spectrum, circulant,
 from momsym.examples import h2xn_dirichlet_neumann
 from momsym.spectra import _real_part
 from momsym.symbols import _tensor_grid
+from test_symbols import _ENTRY_PARTS, sample_broadcast
 
 TAU_PAIRS = [(e, p) for e in (-1, 0, 1) for p in (-1, 0, 1)]
 
@@ -649,3 +652,135 @@ class TestDistribution:
         spec = eig_hermitian(toeplitz(f, 8))
         rep = distribution_test(spec, f, f_id="abs_power_2")
         assert rep.gap == pytest.approx(0.25, abs=1e-12)
+
+
+def distribution_whole_grid(spec, f, f_id):
+    """(samples, [discrete_mean, integral_mean, gap]) as distribution_test computed them
+    from one sample of the whole 512**d midpoint grid, by the broadcast sample formula."""
+    F = spectra._test_function(f_id)
+    lo, hi = -math.pi, math.pi
+    samples = sample_broadcast(f, _tensor_grid(
+        [lo + (hi - lo) * (np.arange(512) + 0.5) / 512] * f.d))
+    if np.abs(samples - samples.conj().transpose(0, 2, 1)).max() / 2 \
+            > spectra._rounding_tol(samples):
+        raise ValueError("symbol is not Hermitian on the grid; cannot compare")
+    vals = spectra._eig_general_values(samples).real
+    if spec.kind == "singular":
+        vals = np.abs(vals)
+    discrete = float(np.mean(F(np.asarray(spec.values, dtype=float))))
+    integral = float(np.mean(F(vals)))
+    return samples, [discrete, integral, abs(discrete - integral)]
+
+
+def hermitian_symbol(draw, d, s):
+    """c_{-k} = c_k^H and c_0 = a + a^H, so each sample is Hermitian up to rounding;
+    entries may be zero, -0.0 or real."""
+    def matrix():
+        return np.array(draw(st.lists(st.builds(complex, _ENTRY_PARTS, _ENTRY_PARTS),
+                                      min_size=s * s, max_size=s * s))).reshape(s, s)
+    c0 = matrix()
+    coeffs = {(0,) * d: c0 + c0.conj().T}
+    for k in draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=3)):
+        if any(k):
+            c = matrix()
+            coeffs[k], coeffs[tuple(-v for v in k)] = c, c.conj().T
+    return LaurentSymbol(coeffs, d=d, s=s, r=s)
+
+
+_SPECTRA = {"hermitian_eig": eig_hermitian(np.diag([-1.0, 0.5, 2.0])),
+            "singular": singular_values(np.diag([0.5, 2.0, 3.0]))}
+
+
+class TestDistributionChunks:
+    """distribution_test samples and solves its grid in parts, with the bits of one
+    whole-grid sample; _QUAD_CHUNK is patched down so that parts end mid-axis."""
+
+    @staticmethod
+    def _check(spec, f, f_id, chunk):
+        """The means, and every sample the solver gets, bitwise as from one whole sample."""
+        samples, means = distribution_whole_grid(spec, f, f_id)
+        solve = mock.Mock(wraps=spectra._eig_general_values)
+        with mock.patch.object(spectra, "_QUAD_CHUNK", chunk), \
+                mock.patch.object(spectra, "_eig_general_values", solve):
+            rep = distribution_test(spec, f, f_id=f_id)
+        assert [x.hex() for x in (rep.discrete_mean, rep.integral_mean, rep.gap)] \
+            == [x.hex() for x in means]
+        solved = np.concatenate([call.args[0] for call in solve.call_args_list])
+        assert solved.tobytes() == samples.tobytes()
+
+    # 7, 73 and 511 leave one point over at the end of a 512-point axis
+    @settings(deadline=None, max_examples=40)
+    @given(st.data(), st.sampled_from([spectra._QUAD_CHUNK, 7, 73, 511]) | st.integers(2, 3000))
+    def test_means_match_whole_grid_bitwise(self, data, chunk):
+        d, s = data.draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]))
+        f = hermitian_symbol(data.draw, d, s)
+        kind = data.draw(st.sampled_from(sorted(_SPECTRA)))
+        f_id = data.draw(st.sampled_from(["abs_power_1", "abs_power_2", "chebyshev_2"]))
+        self._check(_SPECTRA[kind], f, f_id, chunk)
+
+    @pytest.mark.parametrize("chunk", [7, 73, 511])
+    def test_no_point_is_sampled_alone(self, chunk):
+        # LaurentSymbol.sample rounds the last midpoint of this symbol alone otherwise
+        # than within the axis, so a part of one point would change the samples' bits
+        f = LaurentSymbol({0: -0.45, 1: 2.04 - 2.56j, -1: 2.04 + 2.56j,
+                           3: 0.42 - 0.57j, -3: 0.42 + 0.57j})
+        self._check(_SPECTRA["hermitian_eig"], f, "abs_power_1", chunk)
+
+    @pytest.mark.parametrize("chunk", [1536, spectra._QUAD_CHUNK])
+    def test_3x3_two_level_means_match_whole_grid_bitwise(self, chunk):
+        f = TestDistribution._hermitian_symbol(np.random.default_rng(80), 2, 3)
+        self._check(_SPECTRA["singular"], f, "abs_power_2", chunk)
+
+    def _refusal(self, f, domain=None, chunk=64):
+        with mock.patch.object(spectra, "_QUAD_CHUNK", chunk), \
+                pytest.raises((ValueError, NumericError)) as got:
+            distribution_test(eig_hermitian(np.eye(3)), f, domain=domain)
+        return type(got.value), str(got.value)
+
+    def test_rectangular_symbol_refused_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(LaurentSymbol, "sample", mock.Mock(side_effect=AssertionError))
+        assert self._refusal(LaurentSymbol({0: [[1.0, 2.0, 3.0]]})) == (
+            ValueError, "symbol is not Hermitian on the grid; cannot compare")
+
+    @pytest.mark.parametrize("chunk", [64, spectra._QUAD_CHUNK])
+    def test_non_hermitian_over_order_cap_is_refused_as_not_hermitian(self, chunk):
+        # f - f^H = 2c(1 - cos t) (n - n^T): within rounding on the first 64 midpoints of
+        # [0, 1], beyond it on the last, so the first part's solve fails (order 65) first
+        n = np.zeros((65, 65))
+        n[0, 1] = 1.0
+        c = 1e-8
+        f = LaurentSymbol({0: 2 * np.eye(65) + 2 * c * n, 1: -c * n, -1: -c * n})
+        assert self._refusal(f, [(0.0, 1.0)], chunk) == (
+            ValueError, "symbol is not Hermitian on the grid; cannot compare")
+
+    @pytest.mark.parametrize("chunk", [64, spectra._QUAD_CHUNK])
+    def test_hermitian_over_order_cap_raises_the_solver_error(self, chunk):
+        assert self._refusal(LaurentSymbol({0: np.eye(65)}), chunk=chunk) == (
+            ValueError, "general eigensolve capped at order 64, got 65")
+
+    @pytest.mark.parametrize("f", [LaurentSymbol({0: 1.0, 1: np.nan}),
+                                   LaurentSymbol({0: [[1.0, 0.0], [0.0, np.nan]]})],
+                             ids=["scalar", "2x2"])
+    def test_non_finite_sample_raises_the_solver_error(self, f):
+        assert self._refusal(f) == (NumericError, "matrix has NaN or infinite entries")
+
+    def test_two_level_2x2_quadrature_peak_memory(self):
+        # the symbol kind the block_2level benchmark draws: Hermitian 2x2 A_k at every
+        # sign pattern of k in {0, 1}^2, nine keys; one whole-grid sample peaked at 64 MiB
+        rng = np.random.default_rng(11)
+        coeffs = {}
+        for k in itertools.product((0, 1), repeat=2):
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            for pos in {(s1 * k[0], s2 * k[1]) for s1 in (1, -1) for s2 in (1, -1)}:
+                coeffs[pos] = a + a.conj().T
+        f = LaurentSymbol(coeffs)
+        assert len(f.coeffs) == 9
+        spec = eig_hermitian(np.diag([1.0, 2.0]))
+        distribution_test(spec, f)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            distribution_test(spec, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20, f"{peak / 2 ** 20:.1f} MiB"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momsym.spectra as spectra
 from momsym import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                     NumericError, ParseError, block_reinterpret,
                     distribution_test, eig_general_small, eig_hermitian, evaluate_symbol,
@@ -14,6 +15,7 @@ from momsym import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                     momentary_evaluate, momentary_mul, parse_scaling,
                     symbol_add, symbol_hermitian, symbol_mul,
                     symmetrize_tridiagonal, tau_matrix, toeplitz)
+from momsym.symbols import _tensor_grid
 
 
 def second_diff():
@@ -32,6 +34,41 @@ def random_symbol(rng, d=1, s=1, r=1, deg=3):
         m = rng.normal(size=(s, r)) + 1j * rng.normal(size=(s, r))
         coeffs[key] = m
     return LaurentSymbol(coeffs, d=d, s=s, r=r)
+
+
+def sample_broadcast(f, thetas):
+    """LaurentSymbol.sample as one (npts, s, r) broadcast product per key."""
+    pts = np.asarray(thetas, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    out = np.zeros((pts.shape[0], f.s, f.r), dtype=complex)
+    for k, m in f.coeffs.items():
+        phase = np.exp(1j * (pts @ np.asarray(k, dtype=float)))
+        out += phase[:, None, None] * m
+    return out
+
+
+# coefficient entries: signed zeros, zero and nonzero parts mixed, and nonzero noise
+_ENTRY_PARTS = st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def sampled_symbols(draw):
+    """(symbol, points): d in 1..3, s and r in 1..3; key components may be non-integer
+    (the constructor truncates them); points from a midpoint grid or drawn freely."""
+    d, s, r = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    component = st.integers(-5, 5) | st.floats(-5.9, 5.9)
+    keys = draw(st.lists(st.tuples(*[component] * d), min_size=1, max_size=6))
+    coeffs = {k: np.array(draw(st.lists(st.builds(complex, _ENTRY_PARTS, _ENTRY_PARTS),
+                                        min_size=s * r, max_size=s * r))).reshape(s, r)
+              for k in keys}
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 24))
+        pts = _tensor_grid([-math.pi + 2 * math.pi * (np.arange(n) + 0.5) / n] * d)
+    else:
+        pts = np.array(draw(st.lists(st.tuples(*[st.floats(-8.0, 8.0)] * d),
+                                     min_size=1, max_size=60)))
+    return LaurentSymbol(coeffs, d=d, s=s, r=r), pts
 
 
 class TestEvaluate:
@@ -62,6 +99,20 @@ class TestEvaluate:
         f = second_diff()
         with pytest.raises(ValueError):
             f.coeff(0)[0, 0] = 99.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(sampled_symbols(), st.sampled_from([spectra._QUAD_CHUNK]) | st.integers(2, 40))
+    def test_sample_matches_broadcast_bitwise(self, case, chunk):
+        # whole, and in the even parts of at least two points that distribution_test
+        # samples (one point of a scalar symbol alone is rounded as scalar arithmetic)
+        f, pts = case
+        want = sample_broadcast(f, pts)
+        got = f.sample(pts)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        parts = np.array_split(np.arange(len(pts)), max(1, len(pts) // chunk))
+        for part in parts:
+            assert f.sample(pts[part]).tobytes() == want[part].tobytes()
 
 
 class TestFourierCoefficients:
