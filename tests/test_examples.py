@@ -150,7 +150,7 @@ class TestExample3:
             example3(2, 2)
 
     def test_memory_guard_covers_measured_peak(self):
-        # the guard's 72 bytes per entry of the order, plus lower-order terms
+        # the guard's 72 bytes per entry of the N-step order is far above the s-step check's peak
         order = 2 * 8 * 32
         tracemalloc.start()
         try:
@@ -161,7 +161,7 @@ class TestExample3:
         assert peak < 73 * order * order
 
     def test_peak_memory_per_entry(self):
-        # two of the assembly, its reordering and the reference at once, 16 bytes per entry each
+        # only s-step matrices are built, so the peak stays far below one N-step matrix
         order = 2 * 8 * 32
         tracemalloc.start()
         try:
@@ -170,6 +170,30 @@ class TestExample3:
         finally:
             tracemalloc.stop()
         assert peak <= 34 * order * order
+
+    def test_no_matrix_of_the_n_step_order(self):
+        # one complex matrix of order 2 * 32 * 32 would take 64 MiB
+        tracemalloc.start()
+        try:
+            example3(32, 33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_step_count_covers_the_supports(self, monkeypatch):
+        # a block at step offset 2 lies outside the reference and must show in the residual
+        step_symbol = examples._example3_blocks
+
+        def with_offset_2(N, n):
+            coeffs = step_symbol(N, n).coeffs
+            coeffs[(2,)] = np.full(coeffs[(0,)].shape, 1e-3)
+            return LaurentSymbol(coeffs)
+
+        monkeypatch.setattr(examples, "_example3_blocks", with_offset_2)
+        rep = example3(4, 5)
+        assert rep.flags["reordering_yields_two_level_toeplitz_form"] is False
+        assert rep.notes["structural_residual"] == 1e-3
 
     @pytest.mark.parametrize("N", [2, 3, 5, 8])
     @pytest.mark.parametrize("n", [3, 4, 6, 9, 17, 33])
