@@ -15,7 +15,7 @@ from ._io import atomic_write_text, fmt_complex, fmt_real
 from .grids import GridSpec
 from .matrices import _tridiagonal_band, tau_matrix
 from .spectra import (Spectrum, _eig_general_values, _eig_hermitian_band, _json_values,
-                      _real_part, _spectral_order, eig_hermitian, singular_values)
+                      _real_part, _spectral_order, singular_values)
 from .symbols import LaurentSymbol, MomentarySymbol, _tensor_grid, _tridiagonal_coeffs
 
 
@@ -170,10 +170,8 @@ def interlacing_check(f, n):
         raise ValueError("need n >= 4")
 
     def eig_desc(phi):
-        band = _tridiagonal_band(f, n, 0.0, phi)
-        if band is None:  # an imaginary part within the symmetry tolerance
-            return eig_hermitian(tau_matrix(f, 0.0, phi, n)).values[::-1]
-        return _eig_hermitian_band(band).values[::-1]
+        return _eig_hermitian_band(_tridiagonal_band(f, n, 0.0, phi),
+                                   lambda: tau_matrix(f, 0.0, phi, n)).values[::-1]
 
     lam_m1, lam_m12, lam_0 = eig_desc(-1.0), eig_desc(-0.5), eig_desc(0.0)
     js = list(range(2, n))

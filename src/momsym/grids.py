@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import ParseError
 from .matrices import _tridiagonal_band, circulant, tau_matrix, toeplitz
-from .spectra import (_eig_hermitian_band, _refuse_general_order, eig_general_small,
-                      eig_hermitian)
+from .spectra import _eig_hermitian_band, _refuse_general_order, eig_general_small
 
 # (eps, phi) -> (a, b): grid theta_j = (j + a) pi / (n + b), denominator h = 1/(n+b)
 _TAU_PARAMS = {
@@ -191,16 +190,13 @@ class GridSpec:
         """Spectrum of matrix(f, n): Hermitian eigenvalues if it is Hermitian, else general
         ones.  A real tridiagonal matrix is solved from its band form, with the same bits."""
         band = self.band(f, n)
-        if band is not None:
-            try:
-                return _eig_hermitian_band(band)
-            except ValueError:  # a Toeplitz band that is not symmetric
-                _refuse_general_order(len(band[1]))  # before the dense build
-                return eig_general_small(self.matrix(f, n))
-        a = self.matrix(f, n)
+        a = None if band is not None else self.matrix(f, n)  # a build error propagates as is
         try:
-            return eig_hermitian(a)
-        except ValueError:
+            return _eig_hermitian_band(band, lambda: a)
+        except ValueError:  # not Hermitian
+            if a is None:
+                _refuse_general_order(len(band[1]))  # before the dense build
+                a = self.matrix(f, n)
             return eig_general_small(a)
 
     def __eq__(self, other):

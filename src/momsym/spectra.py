@@ -8,7 +8,8 @@ computed values against its normalized integral over the symbol's domain.
 It owns the rules all comparisons share: one order for exact spectra and
 symbol samples before index-by-index pairing, one test for values real to
 rounding (|imag| <= 1e-9 * max(1, max|v|)), one stacked solver for symbol
-samples (_eig_general_values) and one JSON encoding of values.
+samples (_eig_general_values), one choice between solving a symbol-built matrix
+from its band or dense (_eig_hermitian_band) and one JSON encoding of values.
 """
 
 import json
@@ -173,9 +174,12 @@ def _stev_spectrum(band, solve):
         raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
 
 
-def _eig_hermitian_band(band):
-    """eig_hermitian of the real tridiagonal matrix with diagonals band = [sub, main,
-    super], bit for bit; the matrix is built, in float64, only where the dense solve runs."""
+def _eig_hermitian_band(band, build):
+    """eig_hermitian(build()) bit for bit, where band = [sub, main, super] holds build()'s
+    diagonals if it is real tridiagonal, else None; build runs only where band is None.
+    A band goes to stev where it runs, else to the dense solve of its float64 matrix."""
+    if band is None:
+        return eig_hermitian(build())
     n = len(band[1])
     spectrum = _stev_spectrum(band, _band_solver(n))
     if spectrum is None:

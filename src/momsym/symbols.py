@@ -254,10 +254,8 @@ def symbol_hermitian(a):
 
 
 def _normalize_k_range(k_range):
-    if np.isscalar(k_range):
-        return [(-int(k_range), int(k_range))]
     boxes = []
-    for entry in k_range:
+    for entry in [k_range] if np.isscalar(k_range) else k_range:
         lo, hi = (int(entry[0]), int(entry[1])) if not np.isscalar(entry) else (-int(entry), int(entry))
         if lo > hi:
             raise ValueError("empty coefficient range")
@@ -421,7 +419,7 @@ class CoefficientScaling:
         def leaf(g):
             try:
                 value = g._value(key)
-            except OverflowError:  # a float power past the float range
+            except (OverflowError, ZeroDivisionError):  # past the float range; a zero size
                 value = np.inf
             return finite(g, value)
 

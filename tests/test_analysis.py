@@ -241,8 +241,8 @@ class TestInterlacing:
         if nan_at is not None:
             solve = analysis._eig_hermitian_band
 
-            def nan_in_middle_variant(band):
-                values = solve(band).values.copy()
+            def nan_in_middle_variant(band, build):
+                values = solve(band, build).values.copy()
                 if band[1][-1] == -0.5:  # the phi = -1/2 band of the cosine symbol
                     values[nan_at] = np.nan
                 return Spectrum(values, "hermitian_eig")

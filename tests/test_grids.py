@@ -259,6 +259,19 @@ def test_non_symmetric_band_over_order_cap_is_refused_before_the_build():
     assert got.values.tobytes() == want.values.tobytes()
 
 
+@pytest.mark.parametrize("spec, coeffs, message", [
+    (GridSpec.tau(0, 0), {0: 2.0, 1: 1j, -1: -1j},
+     "tridiagonal symbol needs equal off-diagonal coefficients"),
+    (GridSpec("circulant"), {0: 1.0, 70: 1.0},
+     "symbol support must lie within -(n-1)..(n-1) for n=65"),
+], ids=["tau", "circulant"])
+def test_build_error_over_order_cap_keeps_the_builders_message(spec, coeffs, message):
+    # the dense matrix is built before any solve, so above order 64 its build error is
+    # never replaced by the general solve's refusal
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spec.exact_spectrum(LaurentSymbol(coeffs), 65)
+
+
 class TestOrdering:
     def test_chain_holds_across_sizes(self):
         for n in (1, 2, 5, 11, 15, 100):

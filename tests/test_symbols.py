@@ -157,6 +157,11 @@ class TestFourierCoefficients:
         with pytest.raises(NumericError):
             fourier_coefficients(lambda t: float("nan"), 1, 8)
 
+    @pytest.mark.parametrize("k_range", [-2, [-2]], ids=["scalar", "list"])
+    def test_negative_bound_is_an_empty_range(self, k_range):
+        with pytest.raises(ValueError, match="^empty coefficient range$"):
+            fourier_coefficients(lambda t: 1.0, k_range)
+
     @settings(deadline=None)
     @given(st.data())
     def test_inverts_laurent_symbol(self, data):
@@ -357,6 +362,18 @@ class TestScalingAlgebra:
         with pytest.raises(NumericError, match="not finite at size 7"):
             g(7)
         assert math.isfinite(g(1))  # the same scaling stays finite at a small size
+
+    @pytest.mark.parametrize("call, at", [
+        (lambda: CoefficientScaling.inverse_power(2)((0,)), "(0,)"),
+        (lambda: CoefficientScaling.inverse_power(2, "n+1")((-1,)), "(-1,)"),
+        (lambda: CoefficientScaling.ratio_N_over_n2()((3, 0)), "(3, 0)"),
+        (lambda: MomentarySymbol([(CoefficientScaling.inverse_power(2), second_diff())])
+         .fixed_size(0), "0"),
+    ], ids=["power", "power_n+1", "ratio", "fixed_size"])
+    def test_zero_size_is_numeric_error(self, call, at):
+        # a division by a zero size is refused like an overflow, not as ZeroDivisionError
+        with pytest.raises(NumericError, match=re.escape(f"is not finite at size {at}")):
+            call()
 
     def test_ratio_form(self):
         g = CoefficientScaling.ratio_N_over_n2()
