@@ -32,13 +32,15 @@ class SpectrumReport:
     size: tuple = ()
 
     def to_csv_text(self):
-        def fmt(v):
-            return fmt_complex(v) if isinstance(v, complex) or np.iscomplexobj(v) else fmt_real(v)
+        def texts(column, fmt=None):
+            column = np.asarray(column)
+            return map(fmt or (fmt_complex if np.iscomplexobj(column) else fmt_real),
+                       column.tolist())
 
         lines = ["j,exact,approx,abs_error"]
-        for j, (e, a, err) in enumerate(
-                zip(self.exact.values, self.approx, self.per_index_error), start=1):
-            lines.append(f"{j},{fmt(e)},{fmt(a)},{fmt_real(err)}")
+        for j, cells in enumerate(zip(texts(self.exact.values), texts(self.approx),
+                                      texts(self.per_index_error, fmt_real)), start=1):
+            lines.append(f"{j},{','.join(cells)}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
@@ -52,7 +54,7 @@ class SpectrumReport:
             "spectrum_kind": self.exact.kind,
             "max_error": float(self.max_error),
             "exact": _json_values(self.exact.values),
-            "approx": _json_values(np.asarray(self.approx)),
+            "approx": _json_values(self.approx),
             "per_index_error": _json_values(self.per_index_error),
         }
 

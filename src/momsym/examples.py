@@ -62,9 +62,9 @@ class ExampleReport:
             "example": self.example_id,
             "params": self.params,
             "passed": self.passed,
-            "flags": dict(sorted(self.flags.items())),
-            "notes": {k: v for k, v in sorted(self.notes.items())},
-            "reports": {label: rep.to_json() for label, rep in sorted(self.reports.items())},
+            "flags": self.flags,
+            "notes": self.notes,
+            "reports": {label: rep.to_json() for label, rep in self.reports.items()},
         }
         return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 

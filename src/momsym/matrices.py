@@ -255,20 +255,20 @@ def write_matrix_json(a, path):
 # the exact head and tail of matrix_to_json_text's output
 _JSON_HEAD = re.compile(r'\{"rows":([1-9][0-9]*),"cols":([1-9][0-9]*),"data":\[\[')
 _JSON_TAIL = "]]}\n"
-# the fast JSON read takes the data a window of about this many characters at a time;
-# when more than half of the cells in a window are distinct, one parse of the whole
-# text is faster
-_PROBE_CHARS = 1 << 16
+# the fast JSON read takes the data a window of about this many characters at a time
+_WINDOW_CHARS = 1 << 16
+# the characters of JSON numbers, NaN, Infinity and "],[": no string, object, true,
+# false or null can be spelt from them, so text of only these parses to numbers in lists
+_NUMERIC = re.compile(r"[-+.0-9eE\[\],NaIfinty]*")
 
 
 def _json_values(tokens):
     """complex(re, im) of each "re,im" token text, in one parse of all of them."""
-    pairs = parse_json("[[" + "],[".join(tokens) + "]]")
-    if len(pairs) != len(tokens) or not all(
-            type(p) is list and len(p) == 2 and all(type(x) in (int, float) for x in p)
-            for p in pairs):
+    text = "[[" + "],[".join(tokens) + "]]"
+    pairs = np.array(parse_json(text), dtype=float) if _NUMERIC.fullmatch(text) else None
+    if pairs is None or pairs.shape != (len(tokens), 2):
         raise ValueError("not one [re,im] pair of numbers per token")
-    return [complex(re, im) for re, im in pairs]
+    return pairs.view(complex).ravel()  # the same two doubles complex(re, im) holds
 
 
 def _writer_layout_entries(text):
@@ -276,9 +276,8 @@ def _writer_layout_entries(text):
     it; None for any other text, which the general reader then reads or refuses.
 
     The data is read a window at a time: each window ends at the last "],[" within
-    _PROBE_CHARS characters of its start, and each distinct [re,im] token in it is
-    parsed once.  A window followed by more data that holds more than half distinct
-    cells also gives None, since one parse of the whole text is then faster.
+    _WINDOW_CHARS characters of its start, and each distinct [re,im] token in it is
+    parsed once.
     """
     head = _JSON_HEAD.match(text)
     if head is None or not text.endswith(_JSON_TAIL):
@@ -292,12 +291,12 @@ def _writer_layout_entries(text):
     done = 0
     while start <= stop:
         cut = stop
-        if stop - start > _PROBE_CHARS:
-            cut = text.rfind("],[", start, start + _PROBE_CHARS)
-            if cut < 0:  # a cell longer than a window: one distinct cell of one
+        if stop - start > _WINDOW_CHARS:
+            cut = text.rfind("],[", start, start + _WINDOW_CHARS)
+            if cut < 0:  # a cell longer than a window
                 return None
         cells = text[start:cut].split("],[")
-        if (cut < stop and 2 * len(set(cells)) > len(cells)) or done + len(cells) > len(flat):
+        if done + len(cells) > len(flat):
             return None
         try:
             flat[done:done + len(cells)] = _parse_cells(cells, _json_values)

@@ -64,9 +64,10 @@ def _real_part(values):
 
 def _json_values(values):
     """Floats for real values, [real, imag] pairs for complex ones."""
+    values = np.asarray(values)
     if np.iscomplexobj(values):
-        return [[float(v.real), float(v.imag)] for v in values]
-    return [float(v) for v in values]
+        return np.stack((values.real, values.imag), -1).tolist()
+    return values.astype(float).tolist()
 
 
 class Spectrum:

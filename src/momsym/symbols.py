@@ -260,6 +260,8 @@ def _normalize_k_range(k_range):
         if lo > hi:
             raise ValueError("empty coefficient range")
         boxes.append((lo, hi))
+    if not boxes:
+        raise ValueError(f"k_range {k_range!r} names no coefficient range")
     return boxes
 
 
@@ -324,6 +326,19 @@ def _size_key(text):
     if _size_text(size) != text:
         raise ValueError(f"table key {text!r} is not written as {_size_text(size)!r}")
     return size
+
+
+def _exact_inverse_power(den, p):
+    """den ** -p for integers, rounded once; OverflowError past the float range.
+
+    A power that surely lies past 2**1100 is not computed, so a huge p costs nothing:
+    its inverse rounds to a signed zero, or it overflows itself.
+    """
+    if (abs(den).bit_length() - 1) * abs(p) > 1100:
+        if p < 0:
+            raise OverflowError("an inverse power past the float range")
+        return -0.0 if den < 0 and p % 2 else 0.0
+    return 1 / den ** p if p > 0 else float(den ** -p)
 
 
 class CoefficientScaling:
@@ -433,12 +448,18 @@ class CoefficientScaling:
                 raise ValueError("inverse_power scaling needs a single-index size")
             n = size[0]
             den = n if self.base == "n" else n + 1
-            return float(den) ** (-self.p)
+            try:
+                return float(den) ** (-self.p)
+            except OverflowError:  # past the float range on the way, maybe not at the end
+                return _exact_inverse_power(den, self.p)
         if self.form == "ratio_N_over_n2":
             if len(size) != 2:
                 raise ValueError("ratio_N_over_n2 scaling needs a 2-index size (N, n)")
             N, n = size
-            return N / float(n) ** 2
+            try:
+                return N / float(n) ** 2
+            except OverflowError:  # past the float range on the way, maybe not at the end
+                return N / (n * n)
         if size not in self.values:
             raise ValueError(f"size {size} not present in scaling table")
         return self.values[size]

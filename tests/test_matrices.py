@@ -691,6 +691,47 @@ class TestMatrixIOPerDistinctValue:
             tracemalloc.stop()
         assert peak <= 48 * n * n, f"{peak / n / n:.1f} bytes per entry"
 
+    def test_all_distinct_json_reads_window_by_window(self, tmp_path):
+        # the text, the 16-byte result and one window's parse; about 208 bytes per
+        # entry when such text was parsed whole
+        n = 255
+        rng = np.random.default_rng(8)
+        path = tmp_path / "distinct.json"
+        write_matrix_json(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), path)
+        tracemalloc.start()
+        try:
+            read_matrix_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n * n, f"{peak / n / n:.1f} bytes per entry"
+
+
+def json_values_typed(tokens):
+    """The per-pair reference for matrices._json_values: one parse, then a type check
+    of every pair in Python and complex(re, im) of each."""
+    pairs = parse_json("[[" + "],[".join(tokens) + "]]")
+    if len(pairs) != len(tokens) or not all(
+            type(p) is list and len(p) == 2 and all(type(x) in (int, float) for x in p)
+            for p in pairs):
+        raise ValueError("not one [re,im] pair of numbers per token")
+    return [complex(re, im) for re, im in pairs]
+
+
+# JSON number texts: ints past 2**53, 2**63 and the float range, subnormals,
+# exponents that overflow or underflow, and the non-finite names
+_NUMBER_TEXTS = ["0", "-0", "7", "9007199254740993", "9223372036854775808",
+                 "1" + "0" * 30, "1" + "0" * 400, "0.0", "-0.0", "0.1", "5e-324", "-5e-324",
+                 "2.2250738585072011e-308", "1E-400", "1.5e+300", "2.5E3", "1e400",
+                 "-1e400", "NaN", "Infinity", "-Infinity"]
+# tokens that are not one pair of JSON numbers, or not in the writer's spelling
+_BAD_TOKENS = ["true,0", "0,false", "null,1", '"1",0', "1, 2", " 1,2", "1,2 ", "[1,2],3",
+               "1,[2]", "[1,2]", "1", "1,2,3", "", "1,2],[3,4", "-NaN,0", "+1,0", "nan,0",
+               "1.,0", "01,0", "Infinity,tiny"]
+_tokens = st.lists(st.one_of(
+    st.tuples(st.sampled_from(_NUMBER_TEXTS), st.sampled_from(_NUMBER_TEXTS)).map(",".join),
+    st.sampled_from(_BAD_TOKENS)), min_size=1, max_size=8)
+
 
 def read_json_whole(path):
     """The matrix JSON reader without a fast path: one json.load of the whole file,
@@ -791,20 +832,36 @@ class TestMatrixJSONFastPath:
             return got
 
     # small windows put window cuts inside and between rows
-    _windows = st.sampled_from([matrices._PROBE_CHARS]) | st.integers(10, 400)
+    _windows = st.sampled_from([matrices._WINDOW_CHARS]) | st.integers(10, 400)
 
     @settings(deadline=None, max_examples=300)
     @given(repeating_matrices(), _windows)
     def test_writer_output_reads_back_bit_for_bit(self, a, window):
-        with mock.patch.object(matrices, "_PROBE_CHARS", window):
+        with mock.patch.object(matrices, "_WINDOW_CHARS", window):
             got = self._read_both(matrix_to_json_text(a))
         assert np.array_equal(_bits(got), _bits(a))  # signed zeros and subnormals too
 
     @settings(deadline=None, max_examples=500)
     @given(repeating_matrices(), st.data(), _windows)
     def test_mutated_writer_text_reads_as_whole_file_parse(self, a, data, window):
-        with mock.patch.object(matrices, "_PROBE_CHARS", window):
+        with mock.patch.object(matrices, "_WINDOW_CHARS", window):
             self._read_both(_mutate(data.draw, matrix_to_json_text(a)))
+
+    @settings(deadline=None, max_examples=500)
+    @given(_tokens)
+    def test_token_values_match_per_pair_check(self, tokens):
+        try:
+            want = np.array(json_values_typed(tokens), dtype=complex)
+        except (ValueError, OverflowError):
+            with pytest.raises((ValueError, OverflowError)):
+                matrices._json_values(tokens)
+            return
+        try:
+            got = matrices._json_values(tokens)
+        except ValueError:  # the writer's spelling only: a token with a space is left over
+            assert any(" " in token for token in tokens)
+            return
+        assert np.array_equal(_bits(got), _bits(want))  # -0.0 and NaN bits too
 
     @staticmethod
     def _parsed_lengths(monkeypatch, path):
@@ -830,39 +887,26 @@ class TestMatrixJSONFastPath:
 
     def test_whole_file_parse_for_distinct_data_and_other_layouts(self, tmp_path,
                                                                   monkeypatch):
-        rng = np.random.default_rng(5)
+        # all-distinct data in the writer's layout is read window by window too
         distinct = tmp_path / "distinct.json"
-        distinct.write_text(matrix_to_json_text(rng.normal(size=(64, 64))))
+        distinct.write_text(matrix_to_json_text(np.random.default_rng(5).normal(size=(64, 64))))
+        lengths = self._parsed_lengths(monkeypatch, distinct)
+        assert len(lengths) > 1 and max(lengths) < matrices._WINDOW_CHARS, lengths
         reordered = tmp_path / "reordered.json"
         reordered.write_text(matrix_to_json_text(np.zeros((64, 64))).replace(
             '{"rows":64,"cols":64,', '{"cols":64,"rows":64,'))
-        for path in (distinct, reordered):
-            assert self._parsed_lengths(monkeypatch, path) == [len(path.read_text())]
+        assert self._parsed_lengths(monkeypatch, reordered) == [len(reordered.read_text())]
 
-    def test_distinct_window_ends_the_fast_path(self, tmp_path, monkeypatch):
-        # four zero rows, then all distinct: at most the zero window is parsed before
-        # the whole text, wherever the first window ends
-        a = np.random.default_rng(7).normal(size=(64, 64))
-        a[:4] = 0
-        path = tmp_path / "m.json"
-        path.write_text(matrix_to_json_text(a))
-        whole = len(path.read_text())
-        assert self._parsed_lengths(monkeypatch, path) == [whole]
-        # a window of just the 256 zero cells ("0.0,0.0" and "],[" each) is parsed alone
-        monkeypatch.setattr(matrices, "_PROBE_CHARS", 2570)
-        assert self._parsed_lengths(monkeypatch, path) == [len("[[0.0,0.0]]"), whole]
-        assert np.array_equal(_bits(read_matrix_json(path)), _bits(a.astype(complex)))
-
-    @pytest.mark.parametrize("window", [4096, matrices._PROBE_CHARS])
+    @pytest.mark.parametrize("window", [4096, matrices._WINDOW_CHARS])
     @pytest.mark.parametrize("tail", [1, 3, 10])
     def test_distinct_trailing_cells_keep_the_fast_path(self, tmp_path, monkeypatch,
                                                         window, tail):
-        # the short last window is never judged, however distinct its cells are
+        # distinct cells at the end are read in their window like any others
         a = np.zeros((64, 64))
         a.flat[-tail:] = np.random.default_rng(tail).normal(size=tail)
         path = tmp_path / "m.json"
         path.write_text(matrix_to_json_text(a))
-        monkeypatch.setattr(matrices, "_PROBE_CHARS", window)
+        monkeypatch.setattr(matrices, "_WINDOW_CHARS", window)
         lengths = self._parsed_lengths(monkeypatch, path)
         assert len(lengths) == -(-len(path.read_text()) // window)  # one parse per window
         assert max(lengths) < 1024, lengths  # no parse of the whole file

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,10 @@ class TestFourierCoefficients:
     def test_negative_bound_is_an_empty_range(self, k_range):
         with pytest.raises(ValueError, match="^empty coefficient range$"):
             fourier_coefficients(lambda t: 1.0, k_range)
+
+    def test_empty_range_list_is_refused(self):
+        with pytest.raises(ValueError, match=r"^k_range \[\] names no coefficient range$"):
+            fourier_coefficients(lambda t: 1.0, [])
 
     @settings(deadline=None)
     @given(st.data())
@@ -374,6 +379,43 @@ class TestScalingAlgebra:
         # a division by a zero size is refused like an overflow, not as ZeroDivisionError
         with pytest.raises(NumericError, match=re.escape(f"is not finite at size {at}")):
             call()
+
+    @pytest.mark.parametrize("g, size, want", [
+        (CoefficientScaling.ratio_N_over_n2(), (1, 10 ** 200), 0.0),
+        (CoefficientScaling.ratio_N_over_n2(), (10 ** 300, 10 ** 200), 1e-100),
+        (CoefficientScaling.inverse_power(1), (10 ** 400,), 0.0),
+        (CoefficientScaling.inverse_power(10 ** 9), (10 ** 400,), 0.0),
+        (CoefficientScaling.inverse_power(10 ** 400), (1,), 1.0),
+    ], ids=["ratio_zero", "ratio", "power", "huge_power", "power_of_one"])
+    def test_in_range_value_past_the_float_range_on_the_way(self, g, size, want):
+        # float(n) ** 2, float(10**400) or the float of p overflows; the exact value does not
+        assert g(size) == want
+
+    @pytest.mark.parametrize("g, size", [
+        (CoefficientScaling.inverse_power(-1), (10 ** 400,)),
+        (CoefficientScaling.inverse_power(-10 ** 9), (7,)),
+        (CoefficientScaling.ratio_N_over_n2(), (10 ** 400, 1)),
+    ], ids=["power", "huge_power", "ratio"])
+    def test_diverging_value_is_numeric_error(self, g, size):
+        # 7 ** 10**9 is never computed: its bit length alone shows that it overflows
+        with pytest.raises(NumericError, match="is not finite at size"):
+            g(size)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 2 ** 1200) | st.sampled_from(
+        [10 ** 400, 2 ** 1024, 2 ** 1024 - 2 ** 970, 2 ** 512, 3 ** 700]), st.integers(-40, 40))
+    def test_inverse_power_is_the_float_formula_or_the_exact_value(self, n, p):
+        # the float formula wherever it does not overflow, else the exact value rounded once
+        try:
+            want = float(n) ** -p
+        except OverflowError:
+            try:
+                want = float(Fraction(n) ** -p)
+            except OverflowError:
+                with pytest.raises(NumericError):
+                    CoefficientScaling.inverse_power(p)((n,))
+                return
+        assert CoefficientScaling.inverse_power(p)((n,)) == want
 
     def test_ratio_form(self):
         g = CoefficientScaling.ratio_N_over_n2()
