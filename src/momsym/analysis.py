@@ -16,7 +16,7 @@ from .grids import GridSpec
 from .matrices import _tridiagonal_band, tau_matrix
 from .spectra import (Spectrum, _eig_general_values, _eig_hermitian_band, _json_values,
                       _real_part, _spectral_order, singular_values)
-from .symbols import LaurentSymbol, MomentarySymbol, _tensor_grid, _tridiagonal_coeffs
+from .symbols import LaurentSymbol, MomentarySymbol, _tridiagonal_coeffs
 
 
 @dataclass
@@ -88,8 +88,8 @@ def sample_spectrum_approx(sym, grid, size):
     if sym.s != sym.r:
         raise ValueError("spectral sampling needs square-valued symbols")
 
-    pts = _tensor_grid([g.angles(n) for g, n in zip(grids, sizes)])
-    vals = _eig_general_values(sym.sample(pts, sizes))
+    axes = [g.angles(n) for g, n in zip(grids, sizes)]
+    vals = _eig_general_values(sym.sample_grid(axes, sizes))
     real = _real_part(vals)
     vals = vals if real is None else real
     return vals[_spectral_order(vals)]

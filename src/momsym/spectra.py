@@ -22,7 +22,7 @@ import numpy as np
 
 from ._io import atomic_write_text, fmt_real
 from .errors import NumericError
-from .symbols import LaurentSymbol, _tensor_grid
+from .symbols import LaurentSymbol
 
 _HERM_TOL = 1e-10
 _GENERAL_MAX_ORDER = 64
@@ -259,14 +259,20 @@ def _eig_general_values(a):
     rows, cols = np.triu_indices(n, 1)
     rest = ~(np.all(a[:, rows, cols] == 0, axis=1) | np.all(a[:, cols, rows] == 0, axis=1))
     w = np.diagonal(a, axis1=1, axis2=2).copy()
-    b = a[rest]
+    # with no triangular sample, the 2x2 closed form reads the stack itself
+    whole = n == 2 and rest.all()
+    b = np.ascontiguousarray(a) if whole else a[rest]
     if n == 2:
         # np.power and _cmul keep the bits of the per-matrix formula: numpy's vectorised
         # complex multiply and x**2 (which it turns into square) round differently on
         # some SIMD builds, down to the sign of a zero imaginary part and so the sqrt branch
         t = b[:, 0, 0] + b[:, 1, 1]
         root = np.sqrt(np.power(b[:, 0, 0] - b[:, 1, 1], 2) + _cmul(4 * b[:, 0, 1], b[:, 1, 0]))
-        w[rest] = np.stack([(t - root) / 2, (t + root) / 2], axis=1)
+        lo, hi = (t - root) / 2, (t + root) / 2
+        if whole:
+            w[:, 0], w[:, 1] = lo, hi
+        else:
+            w[rest] = np.stack([lo, hi], axis=1)
     elif b.size:
         try:
             w[rest] = v = np.linalg.eigvals(b)
@@ -348,15 +354,15 @@ def distribution_test(spec, f, domain=None, f_id="abs_power_1"):
 
     # tensor midpoint rule per box side; on a full period this matches trapezoid.  The
     # grid goes in even slices of its first (slowest) axis, each about _QUAD_CHUNK points
-    # and, from _QUAD_CHUNK = 2 on, never one point alone (LaurentSymbol.sample rounds a
-    # lone value as scalar arithmetic does); each is sampled and solved on its own into
-    # vals, and a solve error waits for the Hermitian verdict on the whole grid
+    # and, from _QUAD_CHUNK = 2 on, never one point alone (LaurentSymbol.sample_grid rounds
+    # a lone value as scalar arithmetic does); each is sampled on its axes and solved on
+    # its own into vals, and a solve error waits for the Hermitian verdict on the whole grid
     axes = [lo + (hi - lo) * (np.arange(512) + 0.5) / 512 for lo, hi in domain]
     size = 512 ** f.d
     vals = np.empty(size * f.s)
     done, dev, vmax, failure = 0, [], [], None
     for part in np.array_split(axes[0], min(512, -(-size // _QUAD_CHUNK))):
-        samples = f.sample(_tensor_grid([part, *axes[1:]]))
+        samples = f.sample_grid([part, *axes[1:]])
         dev.append(np.abs(samples - samples.conj().transpose(0, 2, 1)).max())
         vmax.append(np.abs(samples).max())
         if failure is None:

@@ -10,6 +10,7 @@ univariate symbol into an equivalent block-valued one.
 """
 
 import json
+import math
 import numbers
 from functools import reduce
 
@@ -116,30 +117,70 @@ class LaurentSymbol:
         return out
 
     def sample(self, thetas):
-        """Evaluate on many points at once; returns shape (npts, s, r), C-contiguous.
-
-        Each coefficient entry is added into its own contiguous row of points, in key
-        order, with the bits of out += phase[:, None, None] * m.
-        """
+        """Evaluate on many points at once; returns shape (npts, s, r), C-contiguous."""
         pts = np.asarray(thetas, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[1] != self.d:
             raise ValueError(f"grid points must have {self.d} components")
-        out = np.zeros((self.s, self.r, pts.shape[0]), dtype=complex)
-        term = np.empty(pts.shape[0], dtype=complex)
+        return self._sum_keys((pts.shape[0],), lambda k: np.exp(1j * (pts @ k)))
+
+    def sample_grid(self, axes):
+        """sample(_tensor_grid(axes)) with the same bits, one 1-D axis per variable.
+
+        A key that moves along at most one variable gets its phase and coefficient
+        product on that variable's axis alone (a constant key on a longest axis), and
+        the products are broadcast into the sum; only a key that moves along two or
+        more builds the point array, as its pts @ k keeps BLAS's rounding.  A length-1
+        axis of a longer grid is repeated along a longest axis, so its products keep the
+        grid's array arithmetic.  A grid of at most one point, whose lone value numpy
+        rounds as scalar arithmetic, and one holding a non-finite value, whose
+        theta * 0 is NaN, go through the point array.
+        """
+        axes = [np.asarray(ax, dtype=float).ravel() for ax in axes]
+        if len(axes) != self.d:
+            raise ValueError(f"grid points must have {self.d} components")
+        shape = tuple(map(len, axes))
+        if math.prod(shape) <= 1 or not all(np.isfinite(ax).all() for ax in axes):
+            return self.sample(_tensor_grid(axes))
+        longest = int(np.argmax(shape))
+        pts = None
+
+        def phase(k):
+            nonlocal pts
+            moves = np.flatnonzero(k)
+            if len(moves) > 1:
+                pts = _tensor_grid(axes) if pts is None else pts
+                return np.exp(1j * (pts @ k)).reshape(shape)
+            i = moves[0] if len(moves) else longest
+            p = np.exp(1j * (axes[i] * k[i]))
+            if len(p) == 1:
+                p, i = np.repeat(p, shape[longest]), longest
+            return p.reshape([-1 if j == i else 1 for j in range(self.d)])
+
+        return self._sum_keys(shape, phase)
+
+    def _sum_keys(self, shape, phase):
+        """The (prod(shape), s, r) samples of sum_k phase(k) * m_k, C-contiguous, where
+        phase(k) of the float key broadcasts to shape.
+
+        Each coefficient entry is added into its own contiguous block of points, in key
+        order from +0 zeros, with the bits of out += phase[:, None, None] * m.
+        """
+        out = np.zeros((self.s, self.r, *shape), dtype=complex)
         for k, m in self._coeffs.items():
-            phase = np.exp(1j * (pts @ np.asarray(k, dtype=float)))
+            p = phase(np.asarray(k, dtype=float))
             if out.size == 1:
                 # numpy rounds a product with a one-element result as scalar arithmetic
                 # does, and one-element rows of a longer product in SIMD, which can
                 # round differently (a fused multiply-add); a lone value keeps the former
-                out += phase * m
+                out += p * m
                 continue
+            term = np.empty_like(p)
             for a, b in np.ndindex(self.s, self.r):
-                np.multiply(phase, m[a, b], out=term)
+                np.multiply(p, m[a, b], out=term)
                 out[a, b] += term
-        return np.ascontiguousarray(out.transpose(2, 0, 1))
+        return np.ascontiguousarray(out.reshape(self.s, self.r, -1).transpose(2, 0, 1))
 
     def __call__(self, theta):
         v = self.eval(theta)
@@ -328,6 +369,27 @@ def _size_key(text):
     return size
 
 
+def _size_label(size):
+    """f"{size}", but an index past Python's int-to-str digit limit is named by its digit
+    count, as converting it would raise ValueError."""
+    try:
+        return f"{size}"
+    except ValueError:
+        labels = [_index_label(v) for v in _as_key(size)]
+        return f"({', '.join(labels)}{',' if len(labels) == 1 else ''})"
+
+
+def _index_label(v):
+    """str(v), or for an integer too long for str, its digit count."""
+    try:
+        return str(v)
+    except ValueError:
+        n, digits = abs(v), max(1, int((abs(v).bit_length() - 1) * math.log10(2)))
+        while n >= 10 ** digits:  # the estimate is one short, or exact
+            digits += 1
+        return f"{'-' if v < 0 else ''}<integer of {digits} digits>"
+
+
 def _exact_inverse_power(den, p):
     """den ** -p for integers, rounded once; OverflowError past the float range.
 
@@ -428,7 +490,8 @@ class CoefficientScaling:
         def finite(g, value):
             if not np.isfinite(value):
                 at = size if g is self else key  # factors are called with the key
-                raise NumericError(f"scaling {g._json_text()} is not finite at size {at}")
+                raise NumericError(f"scaling {g._json_text()} is not finite at size "
+                                   f"{_size_label(at)}")
             return value
 
         def leaf(g):
@@ -461,7 +524,7 @@ class CoefficientScaling:
             except OverflowError:  # past the float range on the way, maybe not at the end
                 return N / (n * n)
         if size not in self.values:
-            raise ValueError(f"size {size} not present in scaling table")
+            raise ValueError(f"size {_size_label(size)} not present in scaling table")
         return self.values[size]
 
     def _json_text(self):
@@ -566,10 +629,19 @@ class MomentarySymbol:
 
     def sample(self, thetas, size):
         pts = np.asarray(thetas, dtype=float)
-        npts = pts.shape[0]
-        out = np.zeros((npts, self.s, self.r), dtype=complex)
+        return self._sum_terms(size, lambda f: f.sample(pts))
+
+    def sample_grid(self, axes, size):
+        """sample(_tensor_grid(axes), size) with the same bits (LaurentSymbol.sample_grid)."""
+        return self._sum_terms(size, lambda f: f.sample_grid(axes))
+
+    def _sum_terms(self, size, sample):
+        """sum of g(size) * sample(f) over the terms, added in order into +0 zeros."""
+        out = None
         for g, f in self.terms:
-            out += g(size) * f.sample(pts)
+            term = g(size) * sample(f)
+            out = np.zeros_like(term) if out is None else out
+            out += term
         return out
 
     def fixed_size(self, size):

@@ -451,6 +451,45 @@ class TestEigGeneralSmall:
         assert np.allclose(got, want, atol=1e-10)
 
 
+class TestStacked2x2:
+    """_eig_general_values on 2x2 stacks: each matrix's values have the bits of
+    eig_general_small, whichever of the stack's matrices are triangular."""
+
+    @staticmethod
+    def _stack(rng, triangular):
+        parts = [0.0, -0.0, 1.0, -2.5]
+        a = rng.normal(size=(96, 2, 2)) + 1j * rng.normal(size=(96, 2, 2))
+        a[::3] = rng.choice(parts, (32, 2, 2)) + 1j * rng.choice(parts, (32, 2, 2))
+        a[1::5] = a[1::5].real
+        upper, lower = triangular[::2], triangular[1::2]
+        a[upper, 1, 0] = rng.choice([0.0, -0.0], len(upper))
+        a[lower, 0, 1] = 0.0
+        return a
+
+    @pytest.mark.parametrize("triangular", [[], [0, 7, 50, 95], list(range(96))],
+                             ids=["none", "some", "all"])
+    def test_matches_per_matrix_bitwise(self, triangular):
+        rng = np.random.default_rng(len(triangular))
+        a = self._stack(rng, np.array(triangular, dtype=int))
+        w = spectra._eig_general_values(a).reshape(-1, 2)
+        for one, values in zip(a, w):
+            assert Spectrum(values, "general_eig").values.tobytes() \
+                == eig_general_small(one).values.tobytes()
+
+    @pytest.mark.parametrize("a, error", [
+        (np.full((3, 65, 65), np.nan), (ValueError,
+                                        "general eigensolve capped at order 64, got 65")),
+        (np.array([np.eye(2), [[1.0, 2.0], [3.0, np.nan]]], dtype=complex),
+         (NumericError, "matrix has NaN or infinite entries")),
+        (np.array([[[1.0, 2.0], [np.inf, 1.0]]] * 4, dtype=complex),
+         (NumericError, "matrix has NaN or infinite entries")),
+    ], ids=["cap_before_nan", "nan_some_triangular", "inf_none_triangular"])
+    def test_refusals_keep_type_text_and_order(self, a, error):
+        with pytest.raises((ValueError, NumericError)) as got:
+            spectra._eig_general_values(a)
+        assert (type(got.value), str(got.value)) == error
+
+
 class TestSingularValues:
     def test_truncated_identity(self):
         got = singular_values(identity_rect(3, 2)).values
@@ -739,6 +778,7 @@ class TestDistributionChunks:
 
     def test_rectangular_symbol_refused_before_sampling(self, monkeypatch):
         monkeypatch.setattr(LaurentSymbol, "sample", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(LaurentSymbol, "sample_grid", mock.Mock(side_effect=AssertionError))
         assert self._refusal(LaurentSymbol({0: [[1.0, 2.0, 3.0]]})) == (
             ValueError, "symbol is not Hermitian on the grid; cannot compare")
 

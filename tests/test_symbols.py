@@ -2,6 +2,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momsym.spectra as spectra
+import momsym.symbols as symbols
 from momsym import (CoefficientScaling, LaurentSymbol, MomentarySymbol,
                     NumericError, ParseError, block_reinterpret,
                     distribution_test, eig_general_small, eig_hermitian, evaluate_symbol,
@@ -114,6 +116,81 @@ class TestEvaluate:
         parts = np.array_split(np.arange(len(pts)), max(1, len(pts) // chunk))
         for part in parts:
             assert f.sample(pts[part]).tobytes() == want[part].tobytes()
+
+
+# axis values: signed zeros and nonzero ones
+_AXIS_VALUES = st.sampled_from([0.0, -0.0]) | st.floats(-8.0, 8.0)
+
+
+@st.composite
+def grid_symbols(draw, d, s, r):
+    """A symbol whose keys have every zero pattern, the all-zero key and |k_i| >= 3
+    included, with entries that may be -0.0."""
+    keys = []
+    for _ in range(draw(st.integers(1, 6))):
+        moves = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        keys.append(tuple(draw(st.integers(-6, 6).filter(bool)) if m else 0 for m in moves))
+    coeffs = {k: np.array(draw(st.lists(st.builds(complex, _ENTRY_PARTS, _ENTRY_PARTS),
+                                        min_size=s * r, max_size=s * r))).reshape(s, r)
+              for k in keys}
+    return LaurentSymbol(coeffs, d=d, s=s, r=r)
+
+
+@st.composite
+def grid_axes(draw, d):
+    """d axes of length 0, 1 or more in any position; sometimes a one-point grid."""
+    one_point = draw(st.booleans())
+    sizes = st.just(1) if one_point else st.sampled_from([0, 1, 2]) | st.integers(3, 20)
+    return [np.array(draw(st.lists(_AXIS_VALUES, min_size=n, max_size=n)), dtype=float)
+            for n in draw(st.lists(sizes, min_size=d, max_size=d))]
+
+
+@st.composite
+def grid_cases(draw):
+    d, s, r = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [draw(grid_symbols(d, s, r)) for _ in range(2)], draw(grid_axes(d))
+
+
+class TestSampleGrid:
+    """sample_grid(axes) has the bytes of sample(_tensor_grid(axes))."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(grid_cases())
+    def test_matches_point_array_bitwise(self, case):
+        (f, _), axes = case
+        self._same(f.sample_grid(axes), f.sample(_tensor_grid(axes)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(grid_cases(), st.integers(1, 40), st.sampled_from([-0.0, 0.5, -3.0]) |
+           st.floats(-4.0, 4.0))
+    def test_momentary_matches_point_array_bitwise(self, case, n, value):
+        (f, g), axes = case
+        table = CoefficientScaling.table({(n,): value})
+        product = CoefficientScaling.inverse_power(2).multiply(table)
+        assert product.to_json()["form"] == "product"
+        m = MomentarySymbol([(table, f), (product, g), (CoefficientScaling.one(), f)])
+        self._same(m.sample_grid(axes, (n,)), m.sample(_tensor_grid(axes), (n,)))
+
+    def test_one_variable_keys_build_no_point_array(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        f = LaurentSymbol({(0, 0, 0): [[1.0, -0.0]], (3, 0, 0): [[0.5j, 2.0]],
+                           (0, -1, 0): [[1.0 - 1j, 0.25]], (0, 0, 4): [[-2.0, 1j]]})
+        m = MomentarySymbol([(CoefficientScaling.one(), f),
+                             (CoefficientScaling.inverse_power(1), f.scale(0.5))])
+        axes = [rng.uniform(-4, 4, 7), np.array([-0.0]), rng.uniform(-4, 4, 5)]
+        want = f.sample(_tensor_grid(axes)), m.sample(_tensor_grid(axes), (9,))
+        monkeypatch.setattr(symbols, "_tensor_grid", mock.Mock(side_effect=AssertionError))
+        self._same(f.sample_grid(axes), want[0])
+        self._same(m.sample_grid(axes, (9,)), want[1])
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ValueError, match="must have 2 components"):
+            LaurentSymbol({(1, 0): 1.0}).sample_grid([np.zeros(3)])
 
 
 class TestFourierCoefficients:
@@ -400,6 +477,28 @@ class TestScalingAlgebra:
         # 7 ** 10**9 is never computed: its bit length alone shows that it overflows
         with pytest.raises(NumericError, match="is not finite at size"):
             g(size)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: CoefficientScaling.inverse_power(-1)((10 ** 5000,)),
+         (NumericError, "(<integer of 5001 digits>,)")),
+        (lambda: CoefficientScaling.inverse_power(-1)(-10 ** 4300),
+         (NumericError, "(-<integer of 4301 digits>,)")),
+        (lambda: CoefficientScaling.ratio_N_over_n2()((10 ** 5000, 0)),
+         (NumericError, "(<integer of 5001 digits>, 0)")),
+        (lambda: CoefficientScaling.inverse_power(-1).multiply(
+            CoefficientScaling.table({(10 ** 5000,): 2.0}))((10 ** 5000,)),
+         (NumericError, "(<integer of 5001 digits>,)")),
+        (lambda: CoefficientScaling.table({(1,): 1.0})((10 ** 5000,)),
+         (ValueError, "size (<integer of 5001 digits>,) not present in scaling table")),
+        (lambda: CoefficientScaling.ratio_N_over_n2()([1 - 10 ** 4300, 0]),
+         (NumericError, f"[{1 - 10 ** 4300}, 0]")),
+    ], ids=["power", "negative_int", "ratio", "product_factor", "table", "at_the_limit"])
+    def test_size_past_the_str_digit_limit_is_named_by_digit_count(self, call, error):
+        # str() of an int past 4300 digits raises ValueError; the refusal names its length
+        kind, text = error
+        with pytest.raises(kind) as got:
+            call()
+        assert type(got.value) is kind and str(got.value).endswith(text)
 
     @settings(deadline=None, max_examples=300)
     @given(st.integers(1, 2 ** 1200) | st.sampled_from(
