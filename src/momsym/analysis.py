@@ -207,8 +207,10 @@ def zero_distribution_stats(seq_builder, sizes, rank_tol=1e-10):
         a = np.asarray(seq_builder(n), dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("sequence builder must return square matrices")
+        if not a.size:
+            raise ValueError(f"sequence builder returned an empty 0x0 matrix at size {n}")
         sv = singular_values(a).values
-        smax = float(sv[-1]) if sv.size else 0.0
+        smax = float(sv[-1])
         rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
         out.append({
             "size": int(a.shape[0]),

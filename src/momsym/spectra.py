@@ -8,8 +8,11 @@ computed values against its normalized integral over the symbol's domain.
 It owns the rules all comparisons share: one order for exact spectra and
 symbol samples before index-by-index pairing, one test for values real to
 rounding (|imag| <= 1e-9 * max(1, max|v|)), one stacked solver for symbol
-samples (_eig_general_values), one choice between solving a symbol-built matrix
-from its band or dense (_eig_hermitian_band) and one JSON encoding of values.
+samples (_eig_general_values), one JSON encoding of values, and one band rule
+(_eig_hermitian_band): a real tridiagonal matrix, from eig_hermitian or from a
+builder's band form, is checked on its three diagonals and solved by LAPACK stev
+once scipy.linalg is loaded (imported from order _STEV_IMPORT_ORDER on), else, or
+with a -0.0 on its main diagonal, by the dense eigvalsh, with the same bits.
 """
 
 import json
@@ -149,46 +152,37 @@ def _band(a):
     return band if np.count_nonzero(a) == sum(map(np.count_nonzero, band)) else None
 
 
-def _eigvalsh_band(band, solve):
-    """Eigenvalues of a real tridiagonal matrix from its diagonals, by LAPACK stev."""
-    n = len(band[1])
-    h = _hermitian_average(np.concatenate(band), np.concatenate(band[::-1]))
-    return solve(h[n - 1:2 * n - 1], h[:n - 1], lapack_driver="stev", check_finite=False)
-
-
-def _stev_spectrum(band, solve):
-    """The spectrum of the real tridiagonal matrix with diagonals band by solve (stev),
-    or None where the dense solve must run: no band, no solve or a -0.0 on the main diagonal.
-
-    The dense solve's Householder reduction adds zeros to the matrix, which turns
-    some -0.0 diagonal entries into 0.0 (from order 33, where LAPACK blocks it) and
-    so flips the sign of an exactly zero eigenvalue; such input stays dense.
-    """
-    if band is None or solve is None:
-        return None
-    mid = band[1]
-    if np.signbit(mid[mid == 0]).any():
-        return None
-    try:
-        return Spectrum(_eigvalsh_band(band, solve), "hermitian_eig")
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
-
-
-def _eig_hermitian_band(band, build):
+def _eig_hermitian_band(band, build, dense=None):
     """eig_hermitian(build()) bit for bit, where band = [sub, main, super] holds build()'s
     diagonals if it is real tridiagonal, else None; build runs only where band is None.
-    A band goes to stev where it runs, else to the dense solve of its float64 matrix."""
+
+    _hermitian_average checks and averages the band on its diagonals; stev solves that
+    average where _band_solver gives it.  Else the dense eigvalsh solves the average
+    of dense, the float64 matrix the band came from (the signs of its zeros off the
+    band reach LAPACK's bits), or of the band's own matrix.  A -0.0 on the main
+    diagonal also takes the dense solve: its Householder reduction turns some -0.0
+    diagonal entries into 0.0 (from order 33, where LAPACK blocks it) and so flips
+    the sign of an exactly zero eigenvalue.
+    """
     if band is None:
         return eig_hermitian(build())
     n = len(band[1])
-    spectrum = _stev_spectrum(band, _band_solver(n))
-    if spectrum is None:
-        a = np.zeros((n, n))
-        i = np.arange(n)
-        a[i[1:], i[:-1]], a[i, i], a[i[:-1], i[1:]] = band
-        spectrum = eig_hermitian(a)
-    return spectrum
+    h = _hermitian_average(np.concatenate(band), np.concatenate(band[::-1]))
+    main = h[n - 1:2 * n - 1]
+    solve = _band_solver(n)
+    try:
+        if solve is not None and not np.signbit(main[main == 0]).any():
+            w = solve(main, h[:n - 1], lapack_driver="stev", check_finite=False)
+        elif dense is not None:
+            w = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+        else:
+            a = np.zeros((n, n))
+            i = np.arange(n)
+            a[i[1:], i[:-1]], a[i, i], a[i[:-1], i[1:]] = np.split(h, [n - 1, 2 * n - 1])
+            w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
+    return Spectrum(w, "hermitian_eig")
 
 
 def eig_hermitian(a, vectors=False):
@@ -200,19 +194,16 @@ def eig_hermitian(a, vectors=False):
     everywhere is checked and solved in float64: on tridiagonal input the
     values are bit-identical to the complex solve, as both LAPACK drivers
     finish on the same tridiagonal form.  Real tridiagonal input without
-    vectors is checked on its three diagonals and solved by LAPACK stev, which
-    ends in the same dsterf and so gives the same bits, once scipy.linalg is
-    loaded; it is imported from order _STEV_IMPORT_ORDER on, and without scipy
-    the solve stays dense.  With vectors=True, real input gets real
+    vectors follows the module's band rule; stev ends in the same dsterf and so
+    gives the same bits.  With vectors=True, real input gets real
     eigenvectors (columns); no caller inside momsym asks for vectors.
     """
     a = np.asarray(a)
     real = not (np.iscomplexobj(a) and a.imag.any())
     a = _as_square(a.real if real else a, float if real else complex)
-    solve = _band_solver(a.shape[0]) if real and not vectors and a.size else None
-    banded = _stev_spectrum(_band(a), solve) if solve is not None else None
-    if banded is not None:
-        return banded
+    band = _band(a) if real and not vectors and a.size else None
+    if band is not None:
+        return _eig_hermitian_band(band, None, dense=a)
     try:
         h = _hermitian_average(a, a.conj().T)
         if vectors:
@@ -351,6 +342,8 @@ def distribution_test(spec, f, domain=None, f_id="abs_power_1"):
     measure = float(np.prod([hi - lo for lo, hi in domain]))
     if f.s != f.r:
         raise ValueError("symbol is not Hermitian on the grid; cannot compare")
+    if not len(spec):
+        raise ValueError("distribution_test needs a nonempty spectrum")
 
     # tensor midpoint rule per box side; on a full period this matches trapezoid.  The
     # grid goes in even slices of its first (slowest) axis, each about _QUAD_CHUNK points
@@ -379,8 +372,9 @@ def distribution_test(spec, f, domain=None, f_id="abs_power_1"):
     if spec.kind == "singular":
         vals = np.abs(vals)
 
-    discrete = float(np.mean(F(np.asarray(spec.values, dtype=float))))
-    integral = float(np.mean(F(vals)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused just below
+        discrete = float(np.mean(F(np.asarray(spec.values, dtype=float))))
+        integral = float(np.mean(F(vals)))
     if not (np.isfinite(discrete) and np.isfinite(integral)):
         raise NumericError("distribution test produced non-finite means")
     return DistributionReport(

@@ -294,5 +294,9 @@ class TestZeroDistribution:
         assert stats[0]["trace_norm_over_size"] == 0.0
 
     def test_rejects_non_square_builder(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must return square matrices"):
             zero_distribution_stats(lambda n: np.zeros((n, n + 1)), [3])
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty 0x0 matrix at size 0"):
+            zero_distribution_stats(lambda n: np.zeros((n, n)), [2, 0])

@@ -226,15 +226,31 @@ class TestBandRoute:
     """Real tridiagonal input without vectors goes to LAPACK stev; bits match the dense solve."""
 
     @pytest.fixture
-    def band_calls(self, monkeypatch):
+    def stev_calls(self, monkeypatch):
+        """The orders of the bands that the stev callable _band_solver returns receives."""
         pytest.importorskip("scipy.linalg")
         calls = []
 
-        def spy(band, solve, _solve_band=spectra._eigvalsh_band):
-            calls.append(len(band[1]))
-            return _solve_band(band, solve)
-        monkeypatch.setattr(spectra, "_eigvalsh_band", spy)
+        def band_solver(n, _band_solver=spectra._band_solver):
+            solve = _band_solver(n)
+
+            def spy(main, sub, **kwargs):
+                calls.append(len(main))
+                return solve(main, sub, **kwargs)
+            return None if solve is None else spy
+        monkeypatch.setattr(spectra, "_band_solver", band_solver)
         return calls
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The lengths of the arrays _hermitian_average receives: 3n - 2 for an order-n band."""
+        lengths = []
+
+        def spy(x, xh, _check=spectra._hermitian_average):
+            lengths.append(len(x))
+            return _check(x, xh)
+        monkeypatch.setattr(spectra, "_hermitian_average", spy)
+        return lengths
 
     @settings(deadline=None, max_examples=300)
     @given(band_cases())
@@ -242,7 +258,16 @@ class TestBandRoute:
         pytest.importorskip("scipy.linalg")
         assert eig_hermitian(a).values.tobytes() == dense_reference(a).tobytes()
 
-    def test_real_tridiagonal_takes_band_route(self, band_calls):
+    @settings(deadline=None, max_examples=300)
+    @given(band_cases())
+    def test_random_bytes_match_dense_solve_without_scipy(self, a):
+        # every band takes the dense fallback, -0.0 off the band included
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(sys.modules, "scipy.linalg", None)  # the import raises ImportError
+            got = eig_hermitian(a).values.tobytes()
+        assert got == dense_reference(a).tobytes()
+
+    def test_real_tridiagonal_takes_band_route(self, stev_calls):
         f = second_diff()
         for a in (tau_matrix(f, 1, -1, 9), tau_matrix(f, 1, -1, 9).real, [[3.0]], np.eye(4)):
             eig_hermitian(a)
@@ -250,7 +275,7 @@ class TestBandRoute:
         eig_hermitian(circulant(f, 9))  # corners off the band
         eig_hermitian([[2.0, 1j], [-1j, 2.0]])
         eig_hermitian(np.diag([1.0, -0.0, 2.0]))  # the dense solve decides a -0.0's sign
-        assert band_calls == [9, 9, 1, 4]
+        assert stev_calls == [9, 9, 1, 4]
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("e,p", TAU_PAIRS)
@@ -265,22 +290,22 @@ class TestBandRoute:
         [[1.0, np.nan], [1.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, np.inf], [0.0, 0.0, 1.0]],
         np.diag([1.0, 2.0, -np.inf])], ids=["sub_super_inf", "diag_nan", "diag_inf",
                                            "super_nan", "super_inf", "last_diag_inf"])
-    def test_non_finite_band_raises(self, band_calls, a):
+    def test_non_finite_band_raises(self, checked, a):
         with pytest.raises(NumericError, match="matrix has NaN or infinite entries"):
             eig_hermitian(a)
-        assert band_calls == [len(a)]
+        assert checked == [3 * len(a) - 2]
 
-    def test_non_hermitian_band_raises(self, band_calls):
+    def test_non_hermitian_band_raises(self, checked):
         a = tau_matrix(second_diff(), 0, 0, 5).real
         a[3, 2] += 2e-10
         with pytest.raises(ValueError, match="matrix is not Hermitian to 1e-10"):
             eig_hermitian(a)
         a[3, 2] -= 1.5e-10  # within the tolerance the average is solved
         assert eig_hermitian(a).values.tobytes() == dense_reference(a).tobytes()
-        assert band_calls == [5, 5]
+        assert checked == [13, 13]
 
     @pytest.mark.parametrize("n", [7, spectra._STEV_IMPORT_ORDER])
-    def test_dense_fallback_without_scipy(self, monkeypatch, band_calls, n):
+    def test_dense_fallback_without_scipy(self, monkeypatch, stev_calls, n):
         a = tau_matrix(second_diff(), -1, 1, n) + (1.0 / (n + 1)) ** 2 * np.eye(n)
         want = dense_reference(a.real).tobytes()
         assert eig_hermitian(a).values.tobytes() == want
@@ -289,7 +314,7 @@ class TestBandRoute:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda h, _solve=np.linalg.eigvalsh: dense.append(h.dtype) or _solve(h))
         assert eig_hermitian(a).values.tobytes() == want
-        assert band_calls == [n] and dense == [np.float64]
+        assert stev_calls == [n] and dense == [np.float64]
 
     # every grid with a band form, and symbols whose builds hold signed zeros: the
     # band entries are 0.0 + f_k, also for a complex f_k with a zero imaginary part
@@ -333,7 +358,7 @@ class TestBandRoute:
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # the import raises ImportError
         assert GridSpec.tau(0, 1).exact_spectrum(second_diff(), n).values.tobytes() == want
 
-    def test_callers_solve_from_the_band(self, band_calls, monkeypatch):
+    def test_callers_solve_from_the_band(self, stev_calls, monkeypatch):
         builds = []
 
         def spy(f, n_vec, m_vec, _build=matrices.multilevel_toeplitz_rect):
@@ -346,13 +371,13 @@ class TestBandRoute:
         example1(7)
         example1(6, "dirichlet")
         interlacing_check(LaurentSymbol({0: 2.0, 1: 1.0, -1: 1.0}), 5)
-        assert builds == [] and band_calls == [9, 8, 7, 6, 5, 5, 5]
+        assert builds == [] and stev_calls == [9, 8, 7, 6, 5, 5, 5]
         # off the band (a circulant's corners, a nonzero imaginary part) the build is dense
         example1(5, "periodic")
         GridSpec("uniform-open").exact_spectrum(LaurentSymbol({0: 2.0, 1: 1j, -1: -1j}), 4)
-        assert builds == [5, 4] and len(band_calls) == 7
+        assert builds == [5, 4] and len(stev_calls) == 7
 
-    def test_band_route_holds_no_dense_matrix(self, band_calls):
+    def test_band_route_holds_no_dense_matrix(self, stev_calls):
         n = 4095  # the dense build alone takes 256 MiB
         for call in (lambda: GridSpec.tau(0, 1).exact_spectrum(second_diff(), n),
                      lambda: example1(n)):
@@ -364,6 +389,22 @@ class TestBandRoute:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20, f"{peak / 2 ** 20:.1f} MiB"
+
+    def test_dense_fallback_holds_one_matrix(self, monkeypatch):
+        n = 1023  # one float64 matrix of this order takes 8 MiB
+        f = second_diff()
+        a = tau_matrix(f, 0, 1, n)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # the import raises ImportError
+        for call in (lambda: eig_hermitian(a), lambda: GridSpec.tau(0, 1).exact_spectrum(f, n),
+                     lambda: example1(n)):
+            call()  # caches outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 << 20, f"{peak / 2 ** 20:.1f} MiB"
 
     def test_import_only_from_import_order(self):
         pytest.importorskip("scipy.linalg")
@@ -632,6 +673,20 @@ class TestDistribution:
         spec = eig_hermitian(np.eye(3))
         with pytest.raises(ValueError):
             distribution_test(spec, second_diff(), f_id="sine")
+
+    def test_empty_spectrum_refused_before_sampling(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled the grid")
+        monkeypatch.setattr(LaurentSymbol, "sample_grid", unreachable)
+        with pytest.raises(ValueError, match="needs a nonempty spectrum"):
+            distribution_test(eig_hermitian(np.zeros((0, 0))), second_diff())
+
+    @pytest.mark.parametrize("values,f_id", [([0.0, 1.0], "abs_power_-1"), ([10.0], "abs_power_400")],
+                             ids=["divide_by_zero", "overflow"])
+    def test_non_finite_mean_raises_numeric_error_alone(self, values, f_id):
+        # the suite turns a RuntimeWarning into an error, so a warning first would fail here
+        with pytest.raises(NumericError, match="non-finite means"):
+            distribution_test(Spectrum(values, "hermitian_eig"), second_diff(), f_id=f_id)
 
     @staticmethod
     def _reference_integral_mean(f, f_id, kind):
