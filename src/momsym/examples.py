@@ -305,7 +305,9 @@ def example3(N, n):
     perm = np.arange(2 * s * m).reshape(s, 2, m).transpose(0, 2, 1).ravel()
     residual = assembly[np.ix_(perm, perm)] - multilevel_toeplitz(two_level, (s, m))
     structural_err = float(np.max(np.abs(residual)))
-    rep.flags["reordering_yields_two_level_toeplitz_form"] = structural_err <= _EXACT_TOL
+    # c * S_A and (N/n^2) * S_A/6 may differ in the last ulp of entries that grow with N
+    bound = _EXACT_TOL * max(1.0, float(np.max(np.abs(assembly))))
+    rep.flags["reordering_yields_two_level_toeplitz_form"] = structural_err <= bound
     rep.notes["structural_residual"] = structural_err
 
     # symmetrized 2x2 coefficient with the same trace and determinant as the

@@ -1,18 +1,17 @@
 """Desk-scale eigenvalue and singular-value routines plus distribution checks.
 
-Wraps dense and tridiagonal solves in a small Spectrum type, provides
-truncated Fourier sums, and measures how closely an empirical spectrum
-follows the density of a symbol: the mean of a test function over the
-computed values against its normalized integral over the symbol's domain.
+Wraps dense and tridiagonal solves in a small Spectrum type, provides truncated Fourier
+sums, and measures how closely a spectrum follows a symbol's density: a test function's
+mean over the values against its normalized integral over the domain.
 
-It owns the rules all comparisons share: one order for exact spectra and
-symbol samples before index-by-index pairing, one test for values real to
-rounding (|imag| <= 1e-9 * max(1, max|v|)), one stacked solver for symbol
-samples (_eig_general_values), one JSON encoding of values, and one band rule
-(_eig_hermitian_band): a real tridiagonal matrix, from eig_hermitian or from a
-builder's band form, is checked on its three diagonals and solved by LAPACK stev
-once scipy.linalg is loaded (imported from order _STEV_IMPORT_ORDER on), else, or
-with a -0.0 on its main diagonal, by the dense eigvalsh, with the same bits.
+It owns the rules all comparisons share: one order for exact spectra and symbol samples
+before index-by-index pairing, one test for values real to rounding (|imag| <= 1e-9 *
+max(1, max|v|)), one stacked solver for symbol samples (_eig_general_values), one JSON
+encoding of values, one band rule (_eig_hermitian_band: a real tridiagonal matrix, from
+eig_hermitian or a builder's band form, is checked on its diagonals and solved by LAPACK
+stev once scipy.linalg is loaded, as it is from order _STEV_IMPORT_ORDER on, else by the
+dense eigvalsh, with the same bits), and one solve boundary (_solved): a LinAlgError of
+any LAPACK call, or a NaN or inf among its values, raises NumericError there alone.
 """
 
 import json
@@ -126,13 +125,26 @@ def _as_square(a, dtype=complex):
 
 def _hermitian_average(x, xh):
     """0.5 * (x + xh) after checking that max|x - xh| is finite and within 1e-10."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported just below
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf: refused here or by _solved
         dev = np.max(np.abs(x - xh), initial=0.0)
-    if not np.isfinite(dev):
-        raise NumericError("matrix has NaN or infinite entries")
-    if dev > _HERM_TOL:
-        raise ValueError("matrix is not Hermitian to 1e-10")
-    return 0.5 * (x + xh)
+        if not np.isfinite(dev):
+            raise NumericError("matrix has NaN or infinite entries")
+        if dev > _HERM_TOL:
+            raise ValueError("matrix is not Hermitian to 1e-10")
+        return 0.5 * (x + xh)
+
+
+def _solved(what, solve, *args, **kwargs):
+    """solve(*args, **kwargs), the one boundary of momsym's LAPACK solves: a LinAlgError or a
+    NaN or inf it returns raises NumericError, and numpy's overflow and invalid warnings stay in."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = solve(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"{what} failed: {exc}") from exc
+    if not all(np.isfinite(part).all() for part in (out if isinstance(out, tuple) else [out])):
+        raise NumericError(f"{what} produced non-finite values")
+    return out
 
 
 def _band_solver(n):
@@ -170,18 +182,16 @@ def _eig_hermitian_band(band, build, dense=None):
     h = _hermitian_average(np.concatenate(band), np.concatenate(band[::-1]))
     main = h[n - 1:2 * n - 1]
     solve = _band_solver(n)
-    try:
-        if solve is not None and not np.signbit(main[main == 0]).any():
-            w = solve(main, h[:n - 1], lapack_driver="stev", check_finite=False)
-        elif dense is not None:
-            w = np.linalg.eigvalsh(0.5 * (dense + dense.T))
-        else:
-            a = np.zeros((n, n))
-            i = np.arange(n)
-            a[i[1:], i[:-1]], a[i, i], a[i[:-1], i[1:]] = np.split(h, [n - 1, 2 * n - 1])
-            w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
+    if solve is not None and not np.signbit(main[main == 0]).any():
+        w = _solved("Hermitian eigensolve", solve, main, h[:n - 1], lapack_driver="stev",
+                    check_finite=False)
+    elif dense is not None:  # averaged inside the boundary, which keeps its overflow quiet
+        w = _solved("Hermitian eigensolve", lambda: np.linalg.eigvalsh(0.5 * (dense + dense.T)))
+    else:
+        a = np.zeros((n, n))
+        i = np.arange(n)
+        a[i[1:], i[:-1]], a[i, i], a[i[:-1], i[1:]] = np.split(h, [n - 1, 2 * n - 1])
+        w = _solved("Hermitian eigensolve", np.linalg.eigvalsh, a)
     return Spectrum(w, "hermitian_eig")
 
 
@@ -204,15 +214,11 @@ def eig_hermitian(a, vectors=False):
     band = _band(a) if real and not vectors and a.size else None
     if band is not None:
         return _eig_hermitian_band(band, None, dense=a)
-    try:
-        h = _hermitian_average(a, a.conj().T)
-        if vectors:
-            w, v = np.linalg.eigh(h)
-            return Spectrum(w, "hermitian_eig"), v
-        w = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
-    return Spectrum(w, "hermitian_eig")
+    h = _hermitian_average(a, a.conj().T)
+    if vectors:
+        w, v = _solved("Hermitian eigensolve", np.linalg.eigh, h)
+        return Spectrum(w, "hermitian_eig"), v
+    return Spectrum(_solved("Hermitian eigensolve", np.linalg.eigvalsh, h), "hermitian_eig")
 
 
 def eig_general_small(a):
@@ -247,6 +253,11 @@ def _eig_general_values(a):
     _refuse_general_order(n)
     if not np.isfinite(a).all():
         raise NumericError("matrix has NaN or infinite entries")
+    return _solved("general eigensolve", _stacked_eigvals, a, n)
+
+
+def _stacked_eigvals(a, n):
+    """_eig_general_values of a checked stack of order n: diagonals, the 2x2 formula, eigvals."""
     rows, cols = np.triu_indices(n, 1)
     rest = ~(np.all(a[:, rows, cols] == 0, axis=1) | np.all(a[:, cols, rows] == 0, axis=1))
     w = np.diagonal(a, axis1=1, axis2=2).copy()
@@ -265,12 +276,7 @@ def _eig_general_values(a):
         else:
             w[rest] = np.stack([lo, hi], axis=1)
     elif b.size:
-        try:
-            w[rest] = v = np.linalg.eigvals(b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"general eigensolve failed: {exc}") from exc
-        if not np.all(np.isfinite(v)):
-            raise NumericError("general eigensolve produced non-finite values")
+        w[rest] = np.linalg.eigvals(b)
     return w.ravel()
 
 
@@ -284,11 +290,8 @@ def singular_values(a):
         raise ValueError("need a matrix")
     if not np.isfinite(a).all():
         raise NumericError("matrix has NaN or infinite entries")
-    try:
-        w = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular value decomposition failed: {exc}") from exc
-    return Spectrum(w, "singular")
+    return Spectrum(_solved("singular value decomposition", np.linalg.svd, a, compute_uv=False),
+                    "singular")
 
 
 def fourier_sum(f, n, theta):

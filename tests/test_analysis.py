@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momsym.analysis as analysis
 from momsym import (CoefficientScaling, GridSpec, LaurentSymbol,
@@ -23,6 +26,52 @@ def reaction_diffusion_momentary(n_plus_one_base=True):
         (CoefficientScaling.one(), second_diff()),
         (CoefficientScaling.inverse_power(2, base), LaurentSymbol({0: 1.0})),
     ])
+
+
+TAU_PAIRS = [(e, p) for e in (-1, 0, 1) for p in (-1, 0, 1)]
+_COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-8.0, 8.0)
+
+
+@st.composite
+def weights(draw, n):
+    """A weight of a form a one-index size takes (ratio_N_over_n2 needs two indices): one,
+    an inverse power in either base, a table holding n, or a product of up to three."""
+    leaf = (st.just(CoefficientScaling.one())
+            | st.builds(CoefficientScaling.inverse_power, st.integers(-3, 3),
+                        st.sampled_from(["n", "n+1"]))
+            | st.builds(lambda v: CoefficientScaling.table({(n,): v}), _COEFFS))
+    g = draw(leaf)
+    for _ in range(draw(st.integers(0, 2))):
+        g = g.multiply(draw(leaf))
+    return g
+
+
+@st.composite
+def tau_momentary_cases(draw):
+    """A momentary sum of weighted real symmetric tridiagonal symbols, a tau grid and a size."""
+    n = draw(st.integers(2, 400))
+    terms = [(draw(weights(n)), LaurentSymbol({0: draw(_COEFFS), 1: b, -1: b}))
+             for b in draw(st.lists(_COEFFS, min_size=1, max_size=3))]
+    return MomentarySymbol(terms), GridSpec.tau(*draw(st.sampled_from(TAU_PAIRS))), n
+
+
+class TestMomentaryPromise:
+    """On each tau grid the momentary symbol's samples are the exact spectrum to rounding."""
+
+    @pytest.mark.parametrize("scipy_linalg", ["blocked", "loaded"])
+    @settings(deadline=None, max_examples=200)
+    @given(tau_momentary_cases())
+    def test_samples_match_exact_spectrum(self, scipy_linalg, case):
+        mom, grid, n = case
+        with pytest.MonkeyPatch.context() as mp:
+            if scipy_linalg == "blocked":
+                mp.setitem(sys.modules, "scipy.linalg", None)  # the dense solve
+            else:
+                pytest.importorskip("scipy.linalg")  # stev
+            exact = grid.exact_spectrum(mom.fixed_size(n), n).values
+        approx = sample_spectrum_approx(mom, grid, n)
+        bound = 4 * n * np.finfo(float).eps * (1 + np.abs(exact).max())
+        assert np.abs(approx - exact).max() <= bound
 
 
 class TestSampling:

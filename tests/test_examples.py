@@ -211,6 +211,17 @@ class TestExample3:
             example3(2, 4)
 
 
+    @pytest.mark.parametrize("N,n", [(34, 3), (5000, 33)])
+    def test_structural_bound_grows_with_the_entries(self, monkeypatch, N, n):
+        # c * S_A and (N/n^2) * S_A/6 differ in the last ulp of entries that grow with N, so
+        # the residual passes 1e-15 though the reordering is exact; N = 5000 needs the guard
+        # of the N-step order lifted
+        monkeypatch.setattr(matrices, "_physical_memory", lambda: 1 << 62)
+        rep = example3(N, n)
+        assert rep.notes["structural_residual"] > examples._EXACT_TOL
+        assert rep.passed, rep.failed_flags()
+
+
 class TestExample4:
     @pytest.mark.parametrize("n", [7, 15, 31])
     def test_sweep(self, n):

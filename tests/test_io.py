@@ -42,6 +42,53 @@ def test_only_io_opens_or_parses_input():
     assert found == []
 
 
+def _owners(node, match, owner=None):
+    """The innermost enclosing function's name for each node under node that match accepts."""
+    if match(node):
+        yield owner
+    if isinstance(node, ast.FunctionDef):
+        owner = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _owners(child, match, owner)
+
+
+def _is_np_linalg(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def test_one_solve_boundary():
+    """numpy's LAPACK is reached only from spectra, and one function there, _solved, maps its
+    failures and refuses NaN or inf values; every np.linalg solve is handed to _solved."""
+    found = {"linalg": [], "except": [], "raise": []}
+    for name in sorted(n for n in os.listdir(SRC) if n.endswith(".py")):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        found["linalg"] += [name for _ in _owners(tree, _is_np_linalg)]
+        found["except"] += [f"{name}: {owner}" for owner in _owners(tree, lambda node: (
+            isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "LinAlgError" in ast.unparse(node.type)))]
+        found["raise"] += [f"{name}: {owner}" for owner in _owners(tree, lambda node: (
+            isinstance(node, ast.Raise) and "produced non-finite values" in ast.unparse(node)))]
+    assert set(found["linalg"]) == {"spectra.py"}
+    assert found["except"] == found["raise"] == ["spectra.py: _solved"]
+
+    with open(os.path.join(SRC, "spectra.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    boundary = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "_solved"]
+    handed = {arg.id for call in boundary for arg in call.args[1:2] if isinstance(arg, ast.Name)}
+    inside = {id(node) for call in boundary for arg in call.args[1:2]
+              if not isinstance(arg, ast.Name) for node in ast.walk(arg)}
+    solves = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and _is_np_linalg(node.value) and node.attr != "LinAlgError"]
+    assert len(solves) >= 5
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name in handed:
+            inside |= {id(node) for node in ast.walk(func)}
+    assert [ast.unparse(node) for node in solves if id(node) not in inside] == []
+
+
 DEPTH = 200_000  # far past the parser's nesting limit
 
 

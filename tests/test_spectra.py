@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momsym.cli as cli
 import momsym.examples as examples
 import momsym.matrices as matrices
 import momsym.spectra as spectra
 from momsym import (GridSpec, LaurentSymbol, NumericError, Spectrum, circulant,
                     circulant_grid, distribution_test, eig_general_small,
                     eig_hermitian, example1, fourier_sum, identity_rect,
-                    interlacing_check, singular_values, tau_matrix, toeplitz)
+                    interlacing_check, sample_spectrum_approx, singular_values,
+                    tau_matrix, toeplitz)
 from momsym.examples import h2xn_dirichlet_neumann
 from momsym.spectra import _real_part
 from momsym.symbols import _tensor_grid
@@ -450,6 +452,75 @@ class TestExactToRounding:
 def test_non_finite_entries_raise_numeric_error(solve, a):
     with pytest.raises(NumericError):
         solve(a)
+
+
+# finite, but every solve of it overflows: its eigenvalues are 0 and 2e308
+BIG = np.full((2, 2), 1e308)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSolveBoundary:
+    """Finite input whose solve overflows raises NumericError from spectra._solved: no NaN
+    or inf comes back, and no warning comes first (the marker makes any warning fail)."""
+
+    def test_boundary(self):
+        def unconverged():
+            raise np.linalg.LinAlgError("did not converge")
+        with pytest.raises(NumericError, match="^a solve failed: did not converge$"):
+            spectra._solved("a solve", unconverged)
+        with pytest.raises(NumericError, match="^a solve produced non-finite values$"):
+            spectra._solved("a solve", np.multiply, 1e308, 10.0)  # overflows without a warning
+        with pytest.raises(NumericError, match="^a solve produced non-finite values$"):
+            spectra._solved("a solve", lambda: (np.ones(2), np.array([[1.0, np.nan]])))
+        got = spectra._solved("a solve", np.linalg.svd, np.eye(2), compute_uv=False)
+        assert got.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("scipy_linalg", ["blocked", "loaded"])
+    def test_band_route(self, monkeypatch, scipy_linalg):
+        if scipy_linalg == "blocked":
+            monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # the dense fallback
+        else:
+            pytest.importorskip("scipy.linalg")  # stev
+        assert spectra._band(BIG) is not None
+        assert (spectra._band_solver(2) is None) == (scipy_linalg == "blocked")
+        with pytest.raises(NumericError, match="^Hermitian eigensolve produced non-finite values$"):
+            eig_hermitian(BIG)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_dense_route(self, vectors):
+        # LAPACK may fail to converge on the inf average, or return NaN
+        with pytest.raises(NumericError,
+                           match="^Hermitian eigensolve (failed: |produced non-finite values$)"):
+            eig_hermitian(np.full((3, 3), 1e308), vectors=vectors)
+
+    @pytest.mark.parametrize("a", [BIG, np.full((3, 3), 1e308)], ids=["closed_form", "eigvals"])
+    def test_general(self, a):
+        with pytest.raises(NumericError, match="^general eigensolve produced non-finite values$"):
+            eig_general_small(a)
+
+    def test_singular(self):
+        with pytest.raises(NumericError,
+                           match="^singular value decomposition produced non-finite values$"):
+            singular_values(BIG)
+
+    def test_sampled_symbol(self):
+        f = LaurentSymbol({0: BIG})
+        with pytest.raises(NumericError, match="^general eigensolve produced non-finite values$"):
+            sample_spectrum_approx(f, GridSpec.tau(0, 0), 3)
+        with pytest.raises(NumericError, match="^general eigensolve produced non-finite values$"):
+            distribution_test(Spectrum([0.0, 1.0], "hermitian_eig"), f)
+
+    @pytest.mark.parametrize("kind,what", [("hermitian", "Hermitian eigensolve"),
+                                           ("singular", "singular value decomposition"),
+                                           ("general", "general eigensolve")])
+    def test_cli_exits_numeric(self, tmp_path, capsys, kind, what):
+        matrix = tmp_path / "big.csv"
+        matrix.write_text("1e308,1e308\n1e308,1e308\n")
+        out = tmp_path / "out"
+        rc = cli.main(["spectrum", "--matrix", str(matrix), "--kind", kind, "--out", str(out)])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == f"error (numeric): {what} produced non-finite values\n"
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestEigGeneralSmall:
