@@ -57,6 +57,13 @@ def _safe(name):
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
 
 
+def _out_dir(args):
+    """--out, created here so that a command refused before its first artifact leaves none."""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    return args.out
+
+
 def _write(path, text):
     atomic_write_text(path, text)
     print(path)
@@ -80,7 +87,7 @@ def cmd_grid(args):
     n = _one_size("--n", args.n)
     angles = spec.angles(n)
     text = "\n".join(fmt_real(v) for v in angles) + "\n"
-    path = os.path.join(args.out, f"grid_{_safe(spec.name())}_n{n}.csv")
+    path = os.path.join(_out_dir(args), f"grid_{_safe(spec.name())}_n{n}.csv")
     _write(path, text)
     return EXIT_OK
 
@@ -122,7 +129,7 @@ def _symbol_matrix(args, kind):
 
 def cmd_build(args):
     a, tag = _symbol_matrix(args, args.kind)
-    path = os.path.join(args.out, f"{args.kind}_n{_safe(tag)}.{args.format}")
+    path = os.path.join(_out_dir(args), f"{args.kind}_n{_safe(tag)}.{args.format}")
     (write_matrix_csv if args.format == "csv" else write_matrix_json)(a, path)
     print(path)
     return EXIT_OK
@@ -141,7 +148,7 @@ def cmd_spectrum(args):
         raise ValueError("need --matrix or --symbol")
     spec = {"hermitian": eig_hermitian, "singular": singular_values,
             "general": eig_general_small}[args.kind](a)
-    path = os.path.join(args.out, f"spectrum_{args.kind}.{args.format}")
+    path = os.path.join(_out_dir(args), f"spectrum_{args.kind}.{args.format}")
     _write(path, spec.to_csv_text() if args.format == "csv" else spec.to_json_text())
     return EXIT_OK
 
@@ -159,7 +166,7 @@ def cmd_compare(args):
     exact = exact_grid.exact_spectrum(mom.fixed_size(n), n)
     written = []
     for report in _reports(exact, grid, n, momentary=mom, glt=mom.glt_symbol()):
-        base = os.path.join(args.out, f"compare_{report.symbol_kind}")
+        base = os.path.join(_out_dir(args), f"compare_{report.symbol_kind}")
         report.write_csv(base + ".csv")
         report.write_json(base + ".json")
         written += [base + ".csv", base + ".json"]
@@ -179,7 +186,7 @@ def cmd_example(args):
     if args.bc is not None:
         params["bc"] = args.bc
     rep = run_example(args.id, **params)
-    for path in rep.write_artifacts(args.out, fmt=args.format):
+    for path in rep.write_artifacts(_out_dir(args), fmt=args.format):
         print(path)
     if not rep.passed:
         for name in rep.failed_flags():
@@ -255,8 +262,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "out", None):
-            os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except ParseError as exc:
         print(f"error (parse): {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from ._io import atomic_write_text, bad_input, fmt_complex, fmt_real, parse_json, read_text
-from .errors import ParseError
+from .errors import NumericError, ParseError
 from .symbols import LaurentSymbol, _tridiagonal_coeffs
 
 
@@ -27,6 +27,15 @@ def _refuse_oversized(rows, cols, bytes_per_entry):
     """ValueError when a dense rows x cols build needing bytes_per_entry would not fit."""
     if bytes_per_entry * rows * cols > _physical_memory():
         raise ValueError(f"a dense {rows} x {cols} build would exceed physical memory")
+
+
+def _checked_sum(a, b, what):
+    """a + b, a sum the build itself forms; NumericError where finite terms overflow."""
+    with np.errstate(over="ignore"):
+        total = a + b
+    if not np.isfinite(total) and np.isfinite(a) and np.isfinite(b):
+        raise NumericError(f"{what} overflows in the matrix build")
+    return total
 
 
 def toeplitz(f, n):
@@ -60,7 +69,7 @@ def circulant(f, n):
     folded = {}
     for (k,), m in f.coeffs.items():
         for diag in (k % n, k % n - n):
-            folded[diag] = folded.get(diag, 0) + m[0, 0]
+            folded[diag] = _checked_sum(folded.get(diag, 0), m[0, 0], "the circulant fold")
     return toeplitz(LaurentSymbol(folded, d=1, s=1, r=1), n)
 
 
@@ -77,8 +86,8 @@ def tau_matrix(f, eps, phi, n):
     """T_n(f) with corner corrections eps*f1 at (1,1) and phi*f1 at (n,n)."""
     top, bottom = _corner_terms(f, eps, phi)
     a = toeplitz(f, n)
-    a[0, 0] += top
-    a[-1, -1] += bottom
+    a[0, 0] = _checked_sum(a[0, 0], top, "the tau corner")
+    a[-1, -1] = _checked_sum(a[-1, -1], bottom, "the tau corner")
     return a
 
 
@@ -103,8 +112,8 @@ def _tridiagonal_band(f, n, eps=None, phi=None):
     f0, f1, fm1 = (0.0 + c.real for c in coeffs)
     main = np.full(n, f0)
     if corners is not None:
-        main[0] += corners[0]
-        main[-1] += corners[1]
+        main[0] = _checked_sum(main[0], corners[0], "the tau corner")
+        main[-1] = _checked_sum(main[-1], corners[1], "the tau corner")
     return [np.full(n - 1, f1), main, np.full(n - 1, fm1)]
 
 

@@ -510,7 +510,7 @@ def test_single_size_flag_rejects_a_list(tmp_path, f1_path, capsys, argv, flag, 
     rc = cli.main([f1_path if a is None else a for a in argv] + ["--out", str(out)])
     assert rc == 3
     assert f"error (argument): {flag} takes one size, got '{text}'" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # each flag that one build kind or scenario alone reads, and that reader
@@ -555,7 +555,7 @@ def test_owned_flag_refused_elsewhere(tmp_path, f1_path, capsys, argv, flag, kin
     assert rc == 3
     assert (f"error (argument): {flag} applies only to {FLAG_OWNERS[flag]}, not {kind}"
             in capsys.readouterr().err)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 class TestArtifactFiles:
@@ -579,6 +579,42 @@ class TestArtifactFiles:
         with pytest.raises(OSError, match="disk full"):
             atomic_write_text(str(tmp_path / "a.txt"), "x\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutDirectory:
+    """--out is made at the first artifact written, so a refused command leaves none."""
+
+    def test_refused_spectrum_leaves_no_directory(self, tmp_path, capsys):
+        matrix = tmp_path / "upper.csv"
+        matrix.write_text("1.0+0.0j,2.0+0.0j\n0.0+0.0j,1.0+0.0j\n")
+        out = tmp_path / "out"
+        rc = cli.main(["spectrum", "--matrix", str(matrix), "--out", str(out)])
+        assert rc == 3
+        assert "not Hermitian" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("tau", ["--eps", "1"], "the tau corner"), ("circulant", [], "the circulant fold")])
+    def test_overflowing_build_is_numeric_error(self, tmp_path, capsys, kind, flags, message):
+        # finite coefficients whose sum in the build overflows: exit 4 and no file
+        big = dump_symbol(tmp_path / "big.json",
+                          LaurentSymbol({0: 1e308, 1: 1e308, -1: 1e308}))
+        out = tmp_path / "out"
+        rc = cli.main(["build", "--kind", kind, "--symbol", big, "--n", "2", *flags,
+                       "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == \
+            f"error (numeric): {message} overflows in the matrix build\n"
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_reported_after_input_checks(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = ["grid", "--grid", "circulant", "--out", str(afile), "--n"]
+        assert cli.main([*argv, "-2"]) == 3
+        assert "error (argument)" in capsys.readouterr().err
+        assert cli.main([*argv, "4"]) == 2
+        assert "error (io)" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("momsym") is None,

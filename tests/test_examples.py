@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -222,6 +223,14 @@ class TestExample3:
         assert rep.passed, rep.failed_flags()
 
 
+def _dense_coarse_matrix(n):
+    """P^H (h^2 X_n) P by two dense products, P built one (1, 2, 1) column at a time."""
+    p = np.zeros((n, (n - 1) // 2), dtype=complex)
+    for j in range(p.shape[1]):
+        p[2 * j:2 * j + 3, j] = (1.0, 2.0, 1.0)
+    return p.conj().T @ examples.h2xn_dirichlet_neumann(n) @ p
+
+
 class TestExample4:
     @pytest.mark.parametrize("n", [7, 15, 31])
     def test_sweep(self, n):
@@ -270,16 +279,35 @@ class TestExample4:
         monkeypatch.setattr(examples, "multilevel_toeplitz_rect", cut)
         assert _report_texts(example4(n)) == want
 
+    def test_coarse_matrix_is_the_dense_galerkin_product(self):
+        # same values as P^H X P; only the sign of a zero may differ (at (m-1, m-3) for
+        # n = 7 mod 8, where the dense product leaves -0.0)
+        for n in [*range(5, 260, 2), 511, 1023]:
+            assert np.array_equal(examples._coarse_matrix(n), _dense_coarse_matrix(n)), n
+
+    @pytest.mark.parametrize("scipy_linalg", ["blocked", "loaded"])
+    def test_reports_match_dense_galerkin_product(self, scipy_linalg, monkeypatch):
+        if scipy_linalg == "blocked":
+            monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # the dense solve
+        else:
+            pytest.importorskip("scipy.linalg")
+        for n in range(5, 260, 2):
+            with monkeypatch.context() as mp:
+                mp.setattr(examples, "_coarse_matrix", _dense_coarse_matrix)
+                want = _report_texts(example4(n))
+            assert _report_texts(example4(n)) == want, n
+
     def test_peak_memory_at_n_1023(self):
-        # the two other constructions of P and the cutting matrix are dropped before the
-        # Galerkin product; held through it, they took the peak to 63.9 MiB
+        # the Galerkin product applies P's stencil, so it holds X and X P, and the peak is
+        # toeplitz(g, n) beside P in the check of P's third construction (24.6 MiB); the
+        # two dense products took it to 39.9 MiB
         tracemalloc.start()
         try:
             example4(1023)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 44 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+        assert peak < 28 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
     def test_rejects_even_or_tiny_n(self):
         with pytest.raises(ValueError):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import momsym.cli as cli
 import momsym.matrices as matrices
-from momsym import (LaurentSymbol, ParseError, block_reinterpret, circulant, circulant_grid,
-                    circulant_real_transform, fourier_matrix, identity_rect, kron,
-                    matrix_to_csv_text, matrix_to_json_text, multilevel_toeplitz,
-                    multilevel_toeplitz_rect, read_matrix_csv,
+from momsym import (GridSpec, LaurentSymbol, NumericError, ParseError, block_reinterpret,
+                    circulant, circulant_grid, circulant_real_transform, fourier_matrix,
+                    identity_rect, kron, matrix_to_csv_text, matrix_to_json_text,
+                    multilevel_toeplitz, multilevel_toeplitz_rect, read_matrix_csv,
                     read_matrix_json, shift_matrix, tau_eigen_grid,
                     tau_eigvec_matrix, tau_matrix, toeplitz,
                     toeplitz_rect, write_matrix_csv, write_matrix_json)
@@ -129,6 +129,11 @@ class TestCirculant:
         with pytest.raises(ValueError):
             circulant(LaurentSymbol({3: 1.0, -3: 1.0}), 3)
 
+    def test_overflowing_fold_is_numeric_error(self):
+        # z and z^-1 share a diagonal at n=2, and their finite sum overflows
+        with pytest.raises(NumericError, match="the circulant fold overflows in the matrix build"):
+            circulant(LaurentSymbol({0: 1.0, 1: 1e308, -1: 1e308}), 2)
+
     def test_commutes_with_shift(self):
         rng = np.random.default_rng(53)
         for n in (4, 7, 12):
@@ -172,6 +177,15 @@ class TestTau:
         for eps, phi in [(2.0, 0), (np.nan, 0), (0, np.nan), (-np.inf, 0)]:
             with pytest.raises(ValueError, match=r"corner weights must lie in \[-1, 1\]"):
                 tau_matrix(second_diff(), eps, phi, 4)
+
+    def test_overflowing_corner_is_numeric_error(self):
+        # the band and the dense build both refuse the corner sum, not the solve after them
+        big = LaurentSymbol({0: 1e308, 1: 1e308, -1: 1e308})
+        for build in (lambda: GridSpec.tau(1, 1).exact_spectrum(big, 4),
+                      lambda: tau_matrix(big, 1, 0, 4), lambda: tau_matrix(big, 0, 1, 4),
+                      lambda: matrices._tridiagonal_band(big, 4, 0, 1)):
+            with pytest.raises(NumericError, match="the tau corner overflows in the matrix build"):
+                build()
 
     def test_differs_from_toeplitz_only_in_corners(self):
         rng = np.random.default_rng(54)
